@@ -132,40 +132,45 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
     { Confmask.Workflow.k_r; k_h; noise; seed; pii;
       pii_key = Option.map parse_key pii_key; fake_routers }
   in
-  match Confmask.Workflow.run ~params ?cache configs with
-  | Error m ->
-      Printf.eprintf "anonymization failed: %s\n" m;
-      1
-  | Ok r ->
-      emit_telemetry ~trace ~metrics_out;
-      write_configs ~format out_dir r.anon_configs;
-      (* The owner-side secret: which elements are fake. Needed to
-         interpret answers coming back from collaborators; never share. *)
-      let oc = open_out (Filename.concat out_dir "confmask-secrets.txt") in
-      Printf.fprintf oc "# Private mapping - do NOT share with the configs\n";
-      List.iter
-        (fun (u, v) -> Printf.fprintf oc "fake-link %s %s\n" u v)
-        r.fake_edges;
-      List.iter
-        (fun (fake, real) -> Printf.fprintf oc "fake-host %s (copy of %s)\n" fake real)
-        r.fake_hosts;
-      List.iter (fun fr -> Printf.fprintf oc "fake-router %s\n" fr) r.fake_router_names;
-      close_out oc;
-      let topo = Confmask.Metrics.topology_of_snapshot r.anon_snapshot in
-      let uc = Confmask.Metrics.config_utility ~orig:r.orig_configs ~anon:r.anon_configs in
-      Printf.printf
-        "fake links: %d\nfake hosts: %d\nfake routers: %d\n\
-         route-equivalence iterations: %d\n\
-         filters (equivalence): %d\nfilters (anonymity): %d (+%d rolled back)\n\
-         topology anonymity k: %d\nconfig utility U_C: %.3f\n\
-         functional equivalence: %b\n"
-        (List.length r.fake_edges)
-        (List.length r.fake_hosts)
-        (List.length r.fake_router_names)
-        r.equiv_iterations r.equiv_filters r.anon_filters_added
-        r.anon_filters_removed topo.min_degree_group uc
-        (Confmask.Workflow.functional_equivalence r);
-      0
+  let code =
+    match Confmask.Workflow.run ~params ?cache configs with
+    | Error m ->
+        Printf.eprintf "anonymization failed: %s\n" m;
+        1
+    | Ok r ->
+        write_configs ~format out_dir r.anon_configs;
+        (* The owner-side secret: which elements are fake. Needed to
+           interpret answers coming back from collaborators; never share. *)
+        let oc = open_out (Filename.concat out_dir "confmask-secrets.txt") in
+        Printf.fprintf oc "# Private mapping - do NOT share with the configs\n";
+        List.iter
+          (fun (u, v) -> Printf.fprintf oc "fake-link %s %s\n" u v)
+          r.fake_edges;
+        List.iter
+          (fun (fake, real) -> Printf.fprintf oc "fake-host %s (copy of %s)\n" fake real)
+          r.fake_hosts;
+        List.iter (fun fr -> Printf.fprintf oc "fake-router %s\n" fr) r.fake_router_names;
+        close_out oc;
+        let topo = Confmask.Metrics.topology_of_snapshot r.anon_snapshot in
+        let uc = Confmask.Metrics.config_utility ~orig:r.orig_configs ~anon:r.anon_configs in
+        Printf.printf
+          "fake links: %d\nfake hosts: %d\nfake routers: %d\n\
+           route-equivalence iterations: %d\n\
+           filters (equivalence): %d\nfilters (anonymity): %d (+%d rolled back)\n\
+           topology anonymity k: %d\nconfig utility U_C: %.3f\n\
+           functional equivalence: %b\n"
+          (List.length r.fake_edges)
+          (List.length r.fake_hosts)
+          (List.length r.fake_router_names)
+          r.equiv_iterations r.equiv_filters r.anon_filters_added
+          r.anon_filters_removed topo.min_degree_group uc
+          (Confmask.Workflow.functional_equivalence r);
+        0
+  in
+  (* After the writes and the equivalence check, so the report covers
+     the whole command, and on the failure path too. *)
+  emit_telemetry ~trace ~metrics_out;
+  code
 
 let in_arg =
   Arg.(required & opt (some dir) None & info [ "in" ] ~docv:"DIR"
@@ -750,7 +755,7 @@ let call_cmd =
     Cmd.info "call"
       ~doc:"Send one JSON request line to a running confmask serve daemon \
             and print the response line (exit 0 when the response reports \
-            \\\"ok\\\": true, 1 otherwise)"
+            \"ok\": true, 1 otherwise)"
   in
   Cmd.v info Term.(const call $ connect_arg $ request_arg)
 

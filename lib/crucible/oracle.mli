@@ -9,18 +9,18 @@
     The suite:
     - [diff_fib] — differential simulation: sequential vs parallel
       {!Netcore.Pool}, incremental {!Routing.Engine} vs from-scratch
-      {!Routing.Simulate}, including a short random deny/undeny edit walk
-      re-checked against a fresh simulation after every step;
+      {!Routing.Simulate}, and each fast path against its explicit
+      reference — LPM tries vs [Fib.lookup], OSPF selection vs
+      {!ospf_crosscheck}, FEC-collapsed vs per-pair data-plane
+      extraction — including a short random edit walk re-checked after
+      every step against a fresh simulation, with {!Routing.Engine.delta}
+      required to be exactly the routers whose fresh FIB changed (the
+      invariant both incremental anonymization fixpoints rest on);
     - [workflow] — anonymization invariants after {!Confmask.Workflow}:
       k-degree anonymity of the anonymized topology, functional
       equivalence (original nodes/links/hosts preserved and identical
       delivered path sets), and byte-identical output on a second run
       under the same seed;
-    - [anonfix] — differential: the whole anonymization workflow replayed
-      under [CONFMASK_ANONFIX=legacy] (full recompute per fixpoint
-      iteration) and the incremental mode (engine-delta scans, cached
-      parallel reachability walks) must produce byte-identical outputs
-      and identical iteration/filter counts;
     - [rename] — metamorphic: permuting router names (same declaration
       order, so the emitter assigns identical addresses) must permute the
       FIBs without changing their structure;
@@ -52,7 +52,6 @@ type t = {
 
 val diff_fib : t
 val workflow : t
-val anonfix : t
 val rename : t
 val reanon : t
 val scrub : t
@@ -61,8 +60,17 @@ val deanon_budget : t
 
 val all : t list
 (** In cost order:
-    [diff_fib; workflow; anonfix; rename; scrub; reanon; policy_transfer;
+    [diff_fib; workflow; rename; scrub; reanon; policy_transfer;
      deanon_budget]. *)
+
+val ospf_crosscheck : Routing.Device.network -> string option
+(** OSPF selection recomputed per IGP domain from forward distances
+    ({!Routing.Ospf.min_cost}): every {!Routing.Ospf.compute} route's
+    metric must be the least [c + fwd(r, s)] over the prefix's
+    advertisers [(s, c)], its next hops exactly the unfiltered OSPF
+    adjacencies [a] of [r] with [cost(a) + D(a.to)] equal to that metric,
+    and every router with such a next hop must have the route. [None]
+    when everything agrees, else a description of the mismatch. *)
 
 val find : string -> (t, string) result
 (** Lookup by name; the error lists the valid names. *)

@@ -80,29 +80,6 @@ let components g =
 
 let connected g = List.length (components g) <= 1
 
-module Pq = Pqueue
-
-let dijkstra g ~weight src =
-  if not (Graph.mem_node src g) then Smap.empty
-  else
-    let rec loop dist pq =
-      match Pq.pop pq with
-      | None -> dist
-      | Some (d, u, pq) ->
-          if Smap.mem u dist then loop dist pq
-          else
-            let dist = Smap.add u d dist in
-            let pq =
-              Sset.fold
-                (fun v pq ->
-                  if Smap.mem v dist then pq
-                  else Pq.insert (d + weight u v) v pq)
-                (Graph.neighbors u g) pq
-            in
-            loop dist pq
-    in
-    loop Smap.empty (Pq.insert 0 src Pq.empty)
-
 let pearson samples =
   let n = List.length samples in
   if n < 2 then nan

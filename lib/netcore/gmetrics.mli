@@ -32,12 +32,6 @@ val connected : Graph.t -> bool
 val components : Graph.t -> string list list
 (** Connected components, each sorted; components sorted by first member. *)
 
-val dijkstra :
-  Graph.t -> weight:(string -> string -> int) -> string -> int Graph.Smap.t
-(** Single-source weighted shortest-path distances. [weight u v] is the
-    cost of traversing the edge from [u] to [v] (may be asymmetric);
-    unreachable nodes are absent from the result. *)
-
 val pearson : (float * float) list -> float
 (** Pearson correlation coefficient of a sample (Figure 15). [nan] when
     either marginal is constant or the sample has < 2 points. *)

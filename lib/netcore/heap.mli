@@ -1,7 +1,6 @@
 (** Mutable array-backed binary min-heap with integer priorities and
     integer payloads — the allocation-free inner queue of the compiled
-    Dijkstra kernels. [Pqueue] remains the persistent facade for callers
-    that want a functional queue over arbitrary payloads.
+    Dijkstra kernels.
 
     Not thread-safe; use one heap per Dijkstra run. *)
 

@@ -22,11 +22,11 @@ let acl_permits acl ~src ~dst =
   | None -> true
   | Some a -> Configlang.Ast.acl_permits a ~src ~dst
 
-(* The per-hop lookups a walk runs on. Two implementations with
-   identical first-match semantics: [legacy_lookups] hashes the network
-   on the spot (replacing the per-hop list scans the walk used to do),
-   [compiled_lookups] reuses the tables of a [Compiled.t] and answers
-   route lookups from per-router LPM tries. *)
+(* The per-hop lookups a walk runs on: the interface and arrival tables
+   of a [Compiled.t], with route lookups answered either from per-router
+   LPM tries ([compiled_lookups]) or by probing the FIB maps directly
+   ([probe_lookups]). Both keep the first-match semantics of the list
+   scans they replace. *)
 type lookups = {
   lk_iface : string -> string -> Device.iface option;
       (* router -> out-interface name -> interface *)
@@ -35,37 +35,6 @@ type lookups = {
   lk_route : string -> Netcore.Ipv4.t -> Fib.route option;
       (* router -> destination address -> FIB longest-prefix match *)
 }
-
-let add_if_absent tbl key v =
-  if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v
-
-let legacy_lookups (net : Device.network) fibs =
-  let ifaces = Hashtbl.create 256 in
-  Smap.iter
-    (fun name (r : Device.router) ->
-      List.iter
-        (fun (i : Device.iface) -> add_if_absent ifaces (name, i.ifc_name) i)
-        r.r_ifaces)
-    net.routers;
-  let arrivals = Hashtbl.create 256 in
-  Smap.iter
-    (fun name adjs ->
-      List.iter
-        (fun (a : Device.adj) ->
-          add_if_absent arrivals
-            (name, a.a_out_iface.ifc_name, a.a_to)
-            a.a_in_iface)
-        adjs)
-    net.adjs;
-  {
-    lk_iface = (fun r n -> Hashtbl.find_opt ifaces (r, n));
-    lk_arrival = (fun r o nh -> Hashtbl.find_opt arrivals (r, o, nh));
-    lk_route =
-      (fun r addr ->
-        match Smap.find_opt r fibs with
-        | None -> None
-        | Some fib -> Fib.lookup fib addr);
-  }
 
 let compiled_lookups c fibs =
   let fib_tbl = Hashtbl.create 256 in
@@ -170,10 +139,10 @@ let host_info (net : Device.network) name =
         hi_drouters = List.map fst atts;
       }
 
-(* The walk itself, identical on both lookup implementations: a DFS over
-   the ECMP branching in next-hop list order, so truncation at
-   [max_paths] cuts the same paths either way. [lk] is lazy so the
-   same-subnet short-circuit never pays for table construction. *)
+(* The walk itself: a DFS over the ECMP branching in next-hop list
+   order, so truncation at [max_paths] always cuts the same paths. [lk]
+   is lazy so the same-subnet short-circuit never pays for table
+   construction. *)
 let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
     ~(si : host_info) ~(di : host_info) =
   let src = si.hi_name and dst = di.hi_name in
@@ -253,7 +222,9 @@ let trace_core ?max_paths lk (net : Device.network) ~src ~dst =
   trace_hosts ?max_paths lk ~si:(host_info net src) ~di:(host_info net dst)
 
 let traceroute ?max_paths (net : Device.network) fibs ~src ~dst =
-  trace_core ?max_paths (lazy (legacy_lookups net fibs)) net ~src ~dst
+  trace_core ?max_paths
+    (lazy (compiled_lookups (Compiled.build net) fibs))
+    net ~src ~dst
 
 type t = (string * string, trace) Hashtbl.t
 
@@ -277,7 +248,8 @@ type t = (string * string, trace) Hashtbl.t
 
    Hosts with equal signatures are interchangeable modulo the host names
    at a path's endpoints, so one representative trace per ordered class
-   pair plus head/tail renaming reproduces the full extraction exactly.
+   pair plus head/tail renaming reproduces the per-pair extraction
+   ([extract_per_pair]) exactly.
    The host's own prefix is deliberately not part of the signature: the
    same-subnet short-circuit is evaluated per pair, and representatives
    are chosen among pairs that do not short-circuit. *)
@@ -543,9 +515,10 @@ let shortcut_trace src dst =
 (* FEC-collapsed extraction: classify hosts, trace one representative
    member pair per ordered class pair, rename onto the other members.
    The table is populated in the same source-major canonical order as
-   the full extraction, with the same keys, so every [Hashtbl.fold]
+   the per-pair extraction, with the same keys, so every [Hashtbl.fold]
    consumer sees an identical iteration sequence. *)
-let extract_fec ~max_paths c (net : Device.network) fibs =
+let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
+    fibs =
   let memo_ok = no_acls net in
   (* One probe accelerator per FIB, shared by classification and (on
      filter-free networks) the walks: with the suffix memo in play route
@@ -744,30 +717,21 @@ let extract_fec ~max_paths c (net : Device.network) fibs =
     infos;
   dp
 
-let extract ?(max_paths = max_paths_default) ?compiled (net : Device.network)
-    fibs =
-  match compiled with
-  | Some c when Compiled.use_compiled () && Fec.on () ->
-      extract_fec ~max_paths c net fibs
-  | _ ->
-      let lk =
-        match compiled with
-        | Some c when Compiled.use_compiled () ->
-            lazy (compiled_lookups c fibs)
-        | _ -> lazy (legacy_lookups net fibs)
-      in
-      let hosts = List.map fst (Smap.bindings net.hosts) in
-      let dp = Hashtbl.create (List.length hosts * List.length hosts) in
+(* The reference extraction: every ordered pair walked on its own. *)
+let extract_per_pair ?(max_paths = max_paths_default) ~compiled
+    (net : Device.network) fibs =
+  let lk = lazy (compiled_lookups compiled fibs) in
+  let hosts = List.map fst (Smap.bindings net.hosts) in
+  let dp = Hashtbl.create (List.length hosts * List.length hosts) in
+  List.iter
+    (fun src ->
       List.iter
-        (fun src ->
-          List.iter
-            (fun dst ->
-              if not (String.equal src dst) then
-                Hashtbl.replace dp (src, dst)
-                  (trace_core ~max_paths lk net ~src ~dst))
-            hosts)
-        hosts;
-      dp
+        (fun dst ->
+          if not (String.equal src dst) then
+            Hashtbl.replace dp (src, dst) (trace_core ~max_paths lk net ~src ~dst))
+        hosts)
+    hosts;
+  dp
 
 let paths dp ~src ~dst =
   match Hashtbl.find_opt dp (src, dst) with

@@ -31,21 +31,27 @@ val traceroute :
   trace
 (** All forwarding paths from host [src] to host [dst], for packets with
     the hosts' addresses. Raises [Invalid_argument] if either host is
-    unknown. Builds its per-router interface/adjacency index once per
-    call; callers tracing many pairs should use {!extract}, which shares
-    the index (and, given [?compiled], the compiled tables and
-    per-router LPM tries) across all pairs. *)
+    unknown. Compiles the network's interface tables once per call;
+    callers tracing many pairs should use {!extract}. *)
 
 type t = (string * string, trace) Hashtbl.t
 (** The full data plane, keyed by (source host, destination host). *)
 
 val extract :
-  ?max_paths:int -> ?compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
-(** Traces for every ordered pair of distinct hosts. When [compiled] is
-    given and the compiled kernels are enabled
-    ({!Compiled.use_compiled}), hops run on the precompiled
-    interface/arrival tables and per-router LPM tries; traces are
-    identical either way. *)
+  ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
+(** Traces for every ordered pair of distinct hosts, [compiled] being the
+    network's compiled core. Hosts are collapsed into forwarding
+    equivalence classes: one representative pair per ordered class pair
+    is walked and its trace renamed onto the other members (on
+    filter-free networks, per-destination suffix memos replace the
+    walks). The table equals {!extract_per_pair}'s, keys, traces and
+    insertion order included. *)
+
+val extract_per_pair :
+  ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
+(** The reference extraction: every ordered pair of distinct hosts walked
+    on its own, in source-major host order. Slow on large networks; the
+    tests and the crucible oracles compare {!extract} against it. *)
 
 val paths : t -> src:string -> dst:string -> path list
 

@@ -191,11 +191,7 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
             (fun n (_, _, _, o) -> if o = None then n + 1 else n)
             0 pre
         in
-        if
-          Fec.on ()
-          && Compiled.use_compiled ()
-          && 4 * misses > List.length routers
-        then
+        if 4 * misses > List.length routers then
           (* Most members need full selection (a cold run): one dense
              [select_all] sweep answers every miss at once, far cheaper
              than a per-router [routes_for] probe each. Scattered misses

@@ -94,9 +94,11 @@ val compute :
   ?pool:Netcore.Pool.t ->
   Device.network ->
   Fib.route list Smap.t
-(** OSPF candidate routes per router ([prepare] + [routes_for] for every
-    scoped router). [scope] restricts the domain (used to run one OSPF
-    instance per AS in BGP networks); it defaults to all routers. *)
+(** OSPF candidate routes per router: what [prepare] + [routes_for] give
+    for every scoped router, computed from the per-advertiser distance
+    arrays and batched selection without materializing a [state].
+    [scope] restricts the domain (used to run one OSPF instance per AS in
+    BGP networks); it defaults to all routers. *)
 
 val min_cost :
   ?scope:(string -> bool) -> Device.network -> string -> int Smap.t
@@ -105,8 +107,8 @@ val min_cost :
     the link-state SFE conditions (§5.1). *)
 
 type cost_state
-(** One scope's prepared forward-distance machinery (scoped adjacencies
-    plus, under the compiled kernels, the interner and forward CSR).
+(** One scope's prepared forward-distance machinery (router interner and
+    forward CSR).
     Preparing it once and querying many sources avoids the per-call
     graph rebuild that dominates {!min_cost} on large networks. *)
 

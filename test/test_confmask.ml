@@ -473,13 +473,12 @@ let prop_pipeline_equivalence =
           Workflow.functional_equivalence r
           && (Metrics.topology_of_snapshot r.anon_snapshot).min_degree_group >= 3)
 
-let prop_anonfix_modes_agree =
-  (* The incremental fixpoint (engine-delta scans, cached parallel
-     reachability walks, grouped filter application) must be bit-identical
-     to the legacy full-recompute path, at every job count. Runs both
-     stage-2 algorithms end to end and compares the printed configs plus
-     every iteration/filter count. *)
-  QCheck2.Test.make ~name:"incremental anonfix == legacy at jobs 1/2/4"
+let prop_fixpoints_job_invariant =
+  (* Both stage-2 fixpoints shard their scans and reachability walks
+     across the pool; the job count must be unobservable. Runs both
+     algorithms end to end and compares the printed configs plus every
+     iteration/filter count at jobs 2 and 4 against jobs 1. *)
+  QCheck2.Test.make ~name:"anonymization fixpoints agree at jobs 1/2/4"
     ~count:6 gen_netspec (fun input ->
       let spec = spec_of input in
       let configs = Netgen.Emit.emit spec in
@@ -487,12 +486,11 @@ let prop_anonfix_modes_agree =
       let orig = Routing.Simulate.run_exn configs in
       let rng = Netcore.Rng.create seed in
       let topo = Topo_anon.anonymize ~rng ~k:3 ~orig configs in
-      let stage mode jobs =
+      let stage jobs =
         let pool = Netcore.Pool.create ~jobs () in
         Fun.protect
           ~finally:(fun () -> Netcore.Pool.shutdown pool)
           (fun () ->
-            Anonfix.with_mode mode @@ fun () ->
             let eng = Routing.Engine.of_configs_exn ~pool topo.configs in
             match
               Route_equiv.fix ~engine:eng ~orig ~fake_edges:topo.fake_edges
@@ -514,16 +512,45 @@ let prop_anonfix_modes_agree =
                         a.filters_added,
                         a.filters_removed )))
       in
-      let base = stage `Legacy 1 in
+      let base = stage 1 in
       List.for_all
-        (fun (mode, jobs) ->
-          let got = stage mode jobs in
-          if got = base then true
-          else
-            QCheck2.Test.fail_reportf
-              "anonfix mismatch at jobs=%d (%s vs legacy/1)" jobs
-              (match mode with `Legacy -> "legacy" | `Incremental -> "incremental"))
-        [ (`Legacy, 4); (`Incremental, 1); (`Incremental, 2); (`Incremental, 4) ])
+        (fun jobs ->
+          stage jobs = base
+          || QCheck2.Test.fail_reportf "fixpoint mismatch at jobs=%d vs jobs=1"
+               jobs)
+        [ 2; 4 ])
+
+let prop_update_all_is_fold =
+  (* [Edits.update_all] applies a whole batch in one pass; it must equal
+     folding [Edits.update] over the same edits, including several
+     order-sensitive edits (fresh interface names, appended networks) on
+     one device. *)
+  QCheck2.Test.make ~name:"Edits.update_all = fold of Edits.update" ~count:50
+    QCheck2.Gen.(pair gen_netspec (small_list (pair nat (int_bound 2))))
+    (fun (input, raw) ->
+      let configs = Netgen.Emit.emit (spec_of input) in
+      let names = List.map (fun (c : Configlang.Ast.config) -> c.hostname) configs in
+      let edits =
+        List.mapi
+          (fun k (i, kind) ->
+            let host = List.nth names (i mod List.length names) in
+            let subnet =
+              Netcore.Prefix.v (Netcore.Ipv4.of_octets 172 16 (k mod 256) 0) 24
+            in
+            let f c =
+              match kind with
+              | 0 ->
+                  Edits.add_interface c ~name:(Edits.fresh_iface_name c)
+                    ~addr:(Netcore.Prefix.host subnet 1) ~plen:24
+                    ~desc:(Printf.sprintf "edit-%d" k) ()
+              | 1 -> Edits.add_igp_network c subnet
+              | _ -> Edits.add_bgp_network c subnet
+            in
+            (host, f))
+          raw
+      in
+      Edits.update_all configs edits
+      = List.fold_left (fun cs (h, f) -> Edits.update cs h f) configs edits)
 
 (* ---- adversary scoring conventions ---- *)
 
@@ -563,7 +590,8 @@ let qsuite =
       prop_pipeline_equivalence;
       prop_strawman2_equivalence;
       prop_high_noise_safe;
-      prop_anonfix_modes_agree;
+      prop_fixpoints_job_invariant;
+      prop_update_all_is_fold;
     ]
 
 let () =

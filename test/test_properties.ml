@@ -262,9 +262,8 @@ let prop_fec_extraction =
           ~router_links:(n - 1 + extra) ~hosts:(2 * n)
       in
       let s = Simulate.run_exn (Netgen.Emit.emit spec) in
-      let dp_fec = Fec.with_mode `On (fun () -> Simulate.dataplane s) in
-      let dp_full = Fec.with_mode `Off (fun () -> Simulate.dataplane s) in
-      traces_equal dp_fec dp_full)
+      traces_equal (Simulate.dataplane s)
+        (Dataplane.extract_per_pair ~compiled:s.compiled s.net s.fibs))
 
 (* qcheck: sharding the per-prefix reverse Dijkstras across a pool must be
    invisible — the FIBs are bit-identical to the sequential fold at every

@@ -923,46 +923,37 @@ let prop_lpm_equiv =
 
 let prop_csr_dijkstra_equiv =
   (* The array Dijkstra on an interned CSR graph must produce the same
-     distance map as the legacy persistent-queue Dijkstra over string
-     maps, on arbitrary weighted digraphs and multi-source seeds. *)
-  QCheck2.Test.make ~name:"compiled Dijkstra = Smap Dijkstra" ~count:300
+     distances as a plain Bellman-Ford relaxation over the edge list, on
+     arbitrary weighted digraphs and multi-source seeds. *)
+  QCheck2.Test.make ~name:"compiled Dijkstra = Bellman-Ford" ~count:300
     QCheck2.Gen.(
       pair
         (small_list (pair (pair (int_bound 15) (int_bound 15)) (int_range 1 20)))
         (small_list (pair (int_bound 15) (int_bound 10))))
     (fun (edges, seeds) ->
       let name i = "r" ^ string_of_int i in
-      let adj =
-        List.fold_left
-          (fun m ((u, v), c) ->
-            Device.Smap.update (name u)
-              (function
-                | None -> Some [ (name v, c) ] | Some l -> Some ((name v, c) :: l))
-              m)
-          Device.Smap.empty edges
-      in
       let reference =
-        let rec loop dist pq =
-          match Netcore.Pqueue.pop pq with
-          | None -> dist
-          | Some (d, v, pq) ->
-              if Device.Smap.mem v dist then loop dist pq
-              else
-                let dist = Device.Smap.add v d dist in
-                let pq =
-                  List.fold_left
-                    (fun pq (u, c) ->
-                      if Device.Smap.mem u dist then pq
-                      else Netcore.Pqueue.insert (d + c) u pq)
-                    pq
-                    (Option.value ~default:[] (Device.Smap.find_opt v adj))
-                in
-                loop dist pq
+        let relax dist (v, d) =
+          Device.Smap.update v
+            (function Some d' when d' <= d -> Some d' | _ -> Some d)
+            dist
         in
-        loop Device.Smap.empty
+        let round dist =
+          List.fold_left
+            (fun dist ((u, v), c) ->
+              match Device.Smap.find_opt (name u) dist with
+              | Some du -> relax dist (name v, du + c)
+              | None -> dist)
+            dist edges
+        in
+        let rec fix dist =
+          let dist' = round dist in
+          if Device.Smap.equal Int.equal dist dist' then dist else fix dist'
+        in
+        fix
           (List.fold_left
-             (fun pq (s, c) -> Netcore.Pqueue.insert c (name s) pq)
-             Netcore.Pqueue.empty seeds)
+             (fun dist (s, c) -> relax dist (name s, c))
+             Device.Smap.empty seeds)
       in
       let it = Netcore.Interner.create () in
       let id i = Netcore.Interner.intern it (name i) in
@@ -976,21 +967,15 @@ let prop_csr_dijkstra_equiv =
             from_array := Device.Smap.add n dist.(i) !from_array);
       Device.Smap.equal Int.equal reference !from_array)
 
-let prop_kernels_equiv =
-  QCheck2.Test.make ~name:"legacy and compiled kernels agree end to end"
+let prop_ospf_crosscheck =
+  (* Batched OSPF selection over reverse per-advertiser fields must match
+     selection recomputed from forward single-source distances. *)
+  QCheck2.Test.make ~name:"OSPF routes = forward min-cost cross-check"
     ~count:20 gen_wan (fun spec ->
-      let configs = Netgen.Emit.emit spec in
-      let sc = Compiled.with_kernels `Compiled (fun () -> Simulate.run_exn configs) in
-      let sl = Compiled.with_kernels `Legacy (fun () -> Simulate.run_exn configs) in
-      Device.Smap.equal ( = ) sc.fibs sl.fibs
-      &&
-      let dc = Compiled.with_kernels `Compiled (fun () -> Simulate.dataplane sc) in
-      let dl = Compiled.with_kernels `Legacy (fun () -> Simulate.dataplane sl) in
-      Hashtbl.length dc = Hashtbl.length dl
-      && Hashtbl.fold
-           (fun k (t : Dataplane.trace) acc ->
-             acc && Hashtbl.find_opt dl k = Some t)
-           dc true)
+      let s = Simulate.run_exn (Netgen.Emit.emit spec) in
+      match Crucible.Oracle.ospf_crosscheck s.net with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_reportf "mismatch: %s" what)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -999,7 +984,7 @@ let qsuite =
       prop_all_pairs_routable;
       prop_lpm_equiv;
       prop_csr_dijkstra_equiv;
-      prop_kernels_equiv;
+      prop_ospf_crosscheck;
     ]
 
 (* ---------------- worker pool ---------------- *)
