@@ -37,7 +37,9 @@ bench-smoke:
 # Batch driver + persistent cache smoke: run a tiny grid with a job
 # limit (leaving one job pending), resume it to completion with warm
 # disk-cache hits in the telemetry, then resume again and require the
-# two manifests to be byte-identical.
+# two manifests to be byte-identical. Finally one fresh cell on net D
+# must extract exactly two data planes, one per side, shared by its
+# verification, red-team and equivalence consumers.
 batch-smoke:
 	rm -rf /tmp/confmask-batch-smoke
 	dune exec bin/confmask_cli.exe -- batch --nets A --kr 2,6 --kh 2 \
@@ -52,6 +54,10 @@ batch-smoke:
 	dune exec bin/confmask_cli.exe -- batch --nets A --kr 2,6 --kh 2 \
 	  --resume --out /tmp/confmask-batch-smoke
 	cmp /tmp/confmask-batch-smoke/manifest.first.json /tmp/confmask-batch-smoke/manifest.json
+	dune exec bin/confmask_cli.exe -- batch --nets D --no-cache \
+	  --out /tmp/confmask-batch-smoke/cell-d \
+	  --metrics-out /tmp/confmask-batch-smoke/metrics-d.json
+	grep -Eq '"dataplane\.extractions": 2,?$$' /tmp/confmask-batch-smoke/metrics-d.json
 
 # Resident daemon smoke: a warm `confmask serve` answering the batch
 # grid through the client driver must produce byte-identical anonymized

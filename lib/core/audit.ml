@@ -50,6 +50,7 @@ let check ?attacks ?(key_range = Attack.default_key_range) ?planted_key
       orig_configs;
       anon_snapshot = anon;
       anon_configs;
+      anon_dataplane = lazy (Routing.Simulate.dataplane anon);
       fake_edges;
       correspondence;
       planted_key;
@@ -75,6 +76,7 @@ let of_report ?attacks ?(key_range = Attack.default_key_range)
       orig_configs = r.orig_configs;
       anon_snapshot = r.anon_snapshot;
       anon_configs = r.anon_configs;
+      anon_dataplane = r.anon_dataplane;
       fake_edges = Some r.fake_edges;
       correspondence = Some r.name_map;
       planted_key;

@@ -9,7 +9,8 @@ let canonical = Redteam.Attack.canonical_edge
 
 (* The attacks themselves live in lib/redteam now; this module keeps the
    original two-attack surface (and its tests) as a thin façade. *)
-let no_traffic_links = Redteam.Links.no_traffic_links
+let no_traffic_links snap =
+  Redteam.Links.no_traffic_links snap (Routing.Simulate.dataplane snap)
 
 let uniform_filter_links snap configs =
   Redteam.Links.filter_links ~min_prefixes:3 ~min_routers:2 snap configs

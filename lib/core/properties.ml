@@ -48,7 +48,7 @@ let mine ?hosts dp =
   in
   Hashtbl.fold
     (fun pair trace acc -> if keep pair then of_trace pair trace @ acc else acc)
-    dp []
+    dp.Routing.Dataplane.pairs []
   |> List.sort_uniq compare
 
 type diff = { kept : t list; lost : t list; gained : t list }

@@ -13,24 +13,26 @@ let c_lost = Telemetry.counter "verify.lost"
 let known_in (snap : Routing.Simulate.snapshot) name =
   Smap.mem name snap.net.routers || Smap.mem name snap.net.hosts
 
-let check ?policies ?rename ~(orig : Routing.Simulate.snapshot)
-    ~(anon : Routing.Simulate.snapshot) () =
+let verify ?policies ?rename ~known ~dp_orig ~dp_anon () =
   Telemetry.with_span "verify.check" @@ fun () ->
-  let dp_orig = Routing.Simulate.dataplane orig in
-  let dp_anon = Routing.Simulate.dataplane anon in
+  let dp_orig = Lazy.force dp_orig and dp_anon = Lazy.force dp_anon in
   let policies =
     match policies with
     | Some ps -> ps
     | None -> List.map Spec.to_query (Spec.mine dp_orig)
   in
-  let entries =
-    Query.differential ?rename ~orig:dp_orig ~anon:dp_anon
-      ~known:(known_in orig) policies
-  in
+  let entries = Query.differential ?rename ~orig:dp_orig ~anon:dp_anon ~known policies in
   let summary = Query.summarize entries in
   Telemetry.add c_policies summary.total;
   Telemetry.add c_lost summary.lost;
   { entries; summary }
+
+let check ?policies ?rename ~(orig : Routing.Simulate.snapshot)
+    ~(anon : Routing.Simulate.snapshot) () =
+  verify ?policies ?rename ~known:(known_in orig)
+    ~dp_orig:(lazy (Routing.Simulate.dataplane orig))
+    ~dp_anon:(lazy (Routing.Simulate.dataplane anon))
+    ()
 
 let of_report ?policies (r : Workflow.report) =
   let rename =
@@ -38,7 +40,8 @@ let of_report ?policies (r : Workflow.report) =
     | [] -> None
     | map -> Some (fun n -> Option.value ~default:n (List.assoc_opt n map))
   in
-  check ?policies ?rename ~orig:r.orig_snapshot ~anon:r.anon_snapshot ()
+  verify ?policies ?rename ~known:(known_in r.orig_snapshot)
+    ~dp_orig:r.orig_dataplane ~dp_anon:r.anon_dataplane ()
 
 (* ---- JSON rendering ---- *)
 

@@ -3,11 +3,15 @@
     default, the whole mined specification of the original network —
     transfer to the anonymized network.
 
-    Thin glue over {!Spec.Query}: extracts both data planes once
-    (through the compiled kernels and the FEC collapse, so the cost is
-    O(forwarding classes), not O(host-pairs × policies)), mines the
-    default policy set, maps names through the workflow's node
-    correspondence, and renders machine-readable reports for the CLI
+    Thin glue over {!Spec.Query}: takes each side's data plane once
+    ({!check} extracts both, {!of_report} reuses the report's), mines
+    the default policy set once per forwarding-class pair, and evaluates
+    waypoint verdicts from one scan of each class pair's paths. Beyond
+    the extraction, a policy then costs a lookup plus its evidence,
+    capped at {!Spec.Query.max_evidence} paths; only a failing waypoint
+    scans its pair's paths for counterexamples. The module also maps
+    names through the workflow's node correspondence, and renders
+    machine-readable reports for the CLI
     ([confmask verify --json]), the serve daemon ([{"op": "verify"}])
     and the per-cell [verification] record of the batch manifest. *)
 
@@ -28,13 +32,15 @@ val check :
 (** [policies] defaults to the mined specification of [orig] (every
     policy of which references real nodes only); [rename] (default:
     identity) carries original names into the anonymized namespace.
-    Emits a [verify.check] telemetry span and bumps [verify.policies] /
-    [verify.lost] counters. *)
+    Extracts each side's data plane once. Emits a [verify.check]
+    telemetry span and bumps [verify.policies] / [verify.lost]
+    counters. *)
 
 val of_report : ?policies:Query.policy list -> Workflow.report -> result
-(** {!check} on a workflow report's own snapshots, renaming through its
-    [name_map] — for the paper pipeline (no PII) that map is the
-    identity; for PII runs it is the scrub's device renaming. *)
+(** {!check} on a workflow report's own data planes (forcing them; no
+    extraction of its own), renaming through its [name_map] — for the
+    paper pipeline (no PII) that map is the identity; for PII runs it is
+    the scrub's device renaming. *)
 
 val json_fields : ?entries:bool -> result -> (string * Netcore.Json.t) list
 (** Summary counts (and with [entries], the full per-policy entry list

@@ -47,6 +47,15 @@ type report = {
   equiv_filters : int;
   anon_filters_added : int;
   anon_filters_removed : int;
+  orig_dataplane : Routing.Dataplane.t Lazy.t;
+  anon_dataplane : Routing.Dataplane.t Lazy.t;
+      (** The data planes of [orig_snapshot] and [anon_snapshot],
+          extracted on first use, after {!run} has returned, and shared
+          by every consumer of the report ({!functional_equivalence},
+          [Verify.of_report], [Audit.of_report]). They are freed with the
+          report. They belong to the task that owns the report: forcing
+          one [Lazy.t] from two domains at once raises
+          [CamlinternalLazy.Undefined] in OCaml 5. *)
 }
 
 val run :
@@ -70,7 +79,8 @@ val run_exn :
 val functional_equivalence : report -> bool
 (** Definition 3.3 restricted to real hosts: identical delivered path sets
     for every ordered pair of original hosts, all original routers, hosts
-    and links still present. *)
+    and links still present. Forces the report's data planes unless the
+    PII add-on ran. *)
 
 val real_hosts : report -> string list
 val anon_texts : report -> (string * string) list

@@ -17,12 +17,12 @@ let fail fmt = Printf.ksprintf (fun m -> Fail m) fmt
 
 (* -------------------- differential FIB -------------------- *)
 
-let traces_equal a b =
-  Hashtbl.length a = Hashtbl.length b
+let traces_equal (a : Routing.Dataplane.t) (b : Routing.Dataplane.t) =
+  Hashtbl.length a.pairs = Hashtbl.length b.pairs
   && Hashtbl.fold
        (fun k (t : Routing.Dataplane.trace) acc ->
-         acc && Hashtbl.find_opt b k = Some t)
-       a true
+         acc && Hashtbl.find_opt b.pairs k = Some t)
+       a.pairs true
 
 (* OSPF selection recomputed from forward distances, per IGP domain. The
    fast path combines reverse per-advertiser Dijkstra fields into

@@ -3,6 +3,7 @@ type target = {
   orig_configs : Configlang.Ast.config list;
   anon_snapshot : Routing.Simulate.snapshot;
   anon_configs : Configlang.Ast.config list;
+  anon_dataplane : Routing.Dataplane.t Lazy.t;
   fake_edges : (string * string) list option;
   correspondence : (string * string) list option;
   planted_key : Pii.Pan.key option;

@@ -14,6 +14,9 @@ type target = {
   orig_configs : Configlang.Ast.config list;
   anon_snapshot : Routing.Simulate.snapshot;
   anon_configs : Configlang.Ast.config list;
+  anon_dataplane : Routing.Dataplane.t Lazy.t;
+      (** the data plane of [anon_snapshot], extracted on first use and
+          freed with the target; owned by the task running the attacks *)
   fake_edges : (string * string) list option;
       (** injected router-router edges, when known *)
   correspondence : (string * string) list option;

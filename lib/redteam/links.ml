@@ -4,24 +4,38 @@ module Smap = Routing.Device.Smap
 
 let canonical = Attack.canonical_edge
 
-let no_traffic_links (snap : Routing.Simulate.snapshot) =
-  let dp = Routing.Simulate.dataplane snap in
+exception Covered
+
+(* Members of a class pair cross the same router links as its
+   representative (they differ only in the end hosts), and shortcut pairs
+   cross none, so the representatives' delivered paths cover every used
+   link. The scan stops as soon as every link is covered: from then on
+   nothing can be flagged. *)
+let no_traffic_links (snap : Routing.Simulate.snapshot) (dp : Routing.Dataplane.t) =
+  let links = Graph.edges (Routing.Device.router_graph snap.net) in
   let used = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ (t : Routing.Dataplane.trace) ->
-      List.iter
-        (fun path ->
-          let rec edges = function
-            | u :: (v :: _ as rest) ->
-                Hashtbl.replace used (canonical (u, v)) ();
-                edges rest
-            | _ -> ()
-          in
-          edges path)
-        t.delivered)
-    dp;
-  let g = Routing.Device.router_graph snap.net in
-  List.filter (fun e -> not (Hashtbl.mem used e)) (Graph.edges g)
+  List.iter (fun e -> Hashtbl.replace used e false) links;
+  let uncovered = ref (Hashtbl.length used) in
+  let rec cover = function
+    | u :: (v :: _ as rest) ->
+        let e = canonical (u, v) in
+        if Hashtbl.find_opt used e = Some false then begin
+          Hashtbl.replace used e true;
+          decr uncovered;
+          if !uncovered = 0 then raise Covered
+        end;
+        cover rest
+    | _ -> ()
+  in
+  (if !uncovered > 0 then
+     try
+       List.iter
+         (fun (cp : Routing.Dataplane.class_pair) ->
+           let src, dst = cp.rep in
+           List.iter cover (Routing.Dataplane.paths dp ~src ~dst))
+         dp.class_pairs
+     with Covered -> ());
+  List.filter (fun e -> not (Hashtbl.find used e)) links
 
 (* Deny sets per attachment point, as printable prefix strings so sets can
    be compared across routers. *)
@@ -136,6 +150,8 @@ let no_traffic =
        host-to-host path crosses";
     run =
       (fun t ->
-        let flagged = no_traffic_links t.Attack.anon_snapshot in
+        let flagged =
+          no_traffic_links t.Attack.anon_snapshot (Lazy.force t.Attack.anon_dataplane)
+        in
         score_links ~attack:"no_traffic" ~flagged t);
   }

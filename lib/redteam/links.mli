@@ -6,9 +6,13 @@
     deny-set fingerprint of Strawman 1 (Listing 3) with the pattern
     thresholds exposed instead of hardcoded. *)
 
-val no_traffic_links : Routing.Simulate.snapshot -> (string * string) list
-(** Router links no delivered host-to-host path crosses. Canonical,
-    sorted, deduplicated. *)
+val no_traffic_links :
+  Routing.Simulate.snapshot -> Routing.Dataplane.t -> (string * string) list
+(** Router links of the snapshot that no delivered path of its data plane
+    crosses, canonical, in {!Netcore.Graph.edges} order. Walks the
+    representative of each class pair only, and stops as soon as every
+    link is covered; on a per-pair data plane
+    ({!Routing.Dataplane.extract_per_pair}) it walks every pair. *)
 
 val filter_links :
   ?min_prefixes:int ->

@@ -13,6 +13,7 @@ type trace = {
 
 let max_paths_default = 4096
 
+let c_extractions = Netcore.Telemetry.counter "dataplane.extractions"
 let c_classes = Netcore.Telemetry.counter "fec.classes"
 let c_collapsed = Netcore.Telemetry.counter "fec.collapsed"
 let c_traced = Netcore.Telemetry.counter "fec.traced"
@@ -226,7 +227,14 @@ let traceroute ?max_paths (net : Device.network) fibs ~src ~dst =
     (lazy (compiled_lookups (Compiled.build net) fibs))
     net ~src ~dst
 
-type t = (string * string, trace) Hashtbl.t
+type class_pair = { rep : string * string; members : (string * string) list }
+
+type t = {
+  pairs : (string * string, trace) Hashtbl.t;
+  host_class : (string, int) Hashtbl.t;
+  class_pairs : class_pair list;
+  shortcuts : (string * string, unit) Hashtbl.t;
+}
 
 (* ---- forwarding-equivalence classes ----
 
@@ -673,22 +681,31 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
     (List.iter (fun (key, t) -> Hashtbl.replace rep_traces key t))
     traced_groups;
   (* Canonical source-major population, byte-compatible with the full
-     double loop. *)
+     double loop. Each non-shortcut pair also joins its class pair's
+     member list, which therefore starts with the representative. *)
   let n = List.length infos in
   let dp = Hashtbl.create (n * n) in
+  let members = Hashtbl.create 64 in
+  let shortcuts = Hashtbl.create 16 in
   List.iter
     (fun si ->
       List.iter
         (fun di ->
           if not (String.equal si.hi_name di.hi_name) then
+            let pair = (si.hi_name, di.hi_name) in
             let t =
-              if Netcore.Prefix.equal si.hi_prefix di.hi_prefix then
+              if Netcore.Prefix.equal si.hi_prefix di.hi_prefix then begin
+                Hashtbl.replace shortcuts pair ();
                 shortcut_trace si.hi_name di.hi_name
+              end
               else
                 let key =
                   ( Hashtbl.find class_of si.hi_name,
                     Hashtbl.find class_of di.hi_name )
                 in
+                (match Hashtbl.find_opt members key with
+                | Some l -> l := pair :: !l
+                | None -> Hashtbl.add members key (ref [ pair ]));
                 let rsi, rdi = Hashtbl.find reps key in
                 if
                   String.equal rsi.hi_name si.hi_name
@@ -712,10 +729,35 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
                       rename_trace ~src:si.hi_name ~dst:di.hi_name
                         (Hashtbl.find rep_traces key)
             in
-            Hashtbl.replace dp (si.hi_name, di.hi_name) t)
+            Hashtbl.replace dp pair t)
         infos)
     infos;
-  dp
+  Netcore.Telemetry.incr c_extractions;
+  let class_pairs =
+    List.map
+      (fun (key, _, _) ->
+        let members = List.rev !(Hashtbl.find members key) in
+        { rep = List.hd members; members })
+      rep_list
+  in
+  { pairs = dp; host_class = class_of; class_pairs; shortcuts }
+
+(* Singleton classes: every host its own class, every pair its own class
+   pair and representative. *)
+let of_pairs pairs =
+  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) pairs []) in
+  let host_class = Hashtbl.create 64 in
+  let add h =
+    if not (Hashtbl.mem host_class h) then
+      Hashtbl.add host_class h (Hashtbl.length host_class)
+  in
+  List.iter (fun (s, d) -> add s; add d) keys;
+  {
+    pairs;
+    host_class;
+    class_pairs = List.map (fun k -> { rep = k; members = [ k ] }) keys;
+    shortcuts = Hashtbl.create 1;
+  }
 
 (* The reference extraction: every ordered pair walked on its own. *)
 let extract_per_pair ?(max_paths = max_paths_default) ~compiled
@@ -731,26 +773,47 @@ let extract_per_pair ?(max_paths = max_paths_default) ~compiled
             Hashtbl.replace dp (src, dst) (trace_core ~max_paths lk net ~src ~dst))
         hosts)
     hosts;
-  dp
+  Netcore.Telemetry.incr c_extractions;
+  of_pairs dp
 
 let paths dp ~src ~dst =
-  match Hashtbl.find_opt dp (src, dst) with
+  match Hashtbl.find_opt dp.pairs (src, dst) with
   | Some t -> t.delivered
   | None -> []
 
 let all_delivered dp =
   Hashtbl.fold
     (fun key t acc -> if t.delivered = [] then acc else (key, t.delivered) :: acc)
-    dp []
+    dp.pairs []
   |> List.sort compare
 
+let class_key dp ~src ~dst =
+  if String.equal src dst || Hashtbl.mem dp.shortcuts (src, dst) then None
+  else
+    match (Hashtbl.find_opt dp.host_class src, Hashtbl.find_opt dp.host_class dst) with
+    | Some cs, Some cd -> Some (cs, cd)
+    | _ -> None
+
+(* Within one joint class pair — the same class pair of [a] and of [b] —
+   every member's path set is its own renaming of one representative's,
+   on both sides, so comparing one member decides them all. Only the
+   successes need remembering: the first failure ends the scan. *)
 let equal_on ~hosts a b =
+  let agreed = Hashtbl.create 64 in
   List.for_all
     (fun src ->
       List.for_all
         (fun dst ->
+          let same () =
+            List.equal (List.equal String.equal)
+              (paths a ~src ~dst) (paths b ~src ~dst)
+          in
           String.equal src dst
-          || List.equal (List.equal String.equal)
-               (paths a ~src ~dst) (paths b ~src ~dst))
+          ||
+          match (class_key a ~src ~dst, class_key b ~src ~dst) with
+          | Some ka, Some kb ->
+              Hashtbl.mem agreed (ka, kb)
+              || (same () && (Hashtbl.add agreed (ka, kb) (); true))
+          | _ -> same ())
         hosts)
     hosts

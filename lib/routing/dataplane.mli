@@ -34,8 +34,39 @@ val traceroute :
     unknown. Compiles the network's interface tables once per call;
     callers tracing many pairs should use {!extract}. *)
 
-type t = (string * string, trace) Hashtbl.t
-(** The full data plane, keyed by (source host, destination host). *)
+type class_pair = {
+  rep : string * string;  (** the member whose trace was walked *)
+  members : (string * string) list;
+      (** every pair of the class pair, source-major, [rep] first *)
+}
+(** One ordered pair of forwarding-equivalence classes. Every member's
+    trace is the representative's with the source renamed at the head of
+    each path and, on delivered paths, the destination renamed at the
+    tail: members share path counts, truncation and every interior
+    router sequence. *)
+
+type t = {
+  pairs : (string * string, trace) Hashtbl.t;
+      (** every ordered pair of distinct hosts, source-major insertion
+          order *)
+  host_class : (string, int) Hashtbl.t;  (** each host's class *)
+  class_pairs : class_pair list;
+      (** the ordered class pairs, in the order of their representatives;
+          every pair of [pairs] belongs to exactly one of them or to
+          [shortcuts] *)
+  shortcuts : (string * string, unit) Hashtbl.t;
+      (** same-subnet pairs, delivered directly ([ [src; dst] ]) and
+          belonging to no class pair *)
+}
+(** The data plane: the pair table plus its FEC structure. Class-level
+    consumers compute once per class pair (on [rep]'s trace) and map the
+    result onto [members]; shortcut pairs are handled one by one.
+
+    A data plane is immutable once built and may be read from several
+    domains. The lazily extracted ones a [Confmask.Workflow.report]
+    carries belong to the task that owns the report: forcing the same
+    [Lazy.t] from two domains at once raises [CamlinternalLazy.Undefined]
+    in OCaml 5. *)
 
 val extract :
   ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
@@ -44,22 +75,38 @@ val extract :
     equivalence classes: one representative pair per ordered class pair
     is walked and its trace renamed onto the other members (on
     filter-free networks, per-destination suffix memos replace the
-    walks). The table equals {!extract_per_pair}'s, keys, traces and
-    insertion order included. *)
+    walks). The pair table equals {!extract_per_pair}'s, keys, traces and
+    insertion order included. Bumps the [dataplane.extractions]
+    counter. *)
 
 val extract_per_pair :
   ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
 (** The reference extraction: every ordered pair of distinct hosts walked
-    on its own, in source-major host order. Slow on large networks; the
-    tests and the crucible oracles compare {!extract} against it. *)
+    on its own, in source-major host order, with singleton classes (see
+    {!of_pairs}). Any class-level consumer run on it is therefore its own
+    per-pair reference; the tests and the crucible oracles compare
+    {!extract} against it. Slow on large networks. Bumps the
+    [dataplane.extractions] counter. *)
+
+val of_pairs : (string * string, trace) Hashtbl.t -> t
+(** A data plane over a given pair table with singleton classes: every
+    host its own class, every pair its own class pair (and
+    representative), no shortcuts. *)
 
 val paths : t -> src:string -> dst:string -> path list
 
 val all_delivered : t -> ((string * string) * path list) list
 (** Pairs sorted lexicographically; only pairs with at least one path. *)
 
+val class_key : t -> src:string -> dst:string -> (int * int) option
+(** The ordered class pair [(class src, class dst)] the pair belongs to;
+    [None] for shortcut pairs, [src = dst], and hosts the data plane does
+    not know. Pairs with equal keys are members of one class pair. *)
+
 val equal_on :
   hosts:string list -> t -> t -> bool
 (** Whether two data planes have identical delivered path sets for every
     ordered pair of the given hosts — the route-equivalence check of
-    Definition 3.3 restricted to real hosts. *)
+    Definition 3.3 restricted to real hosts. Compares one pair per joint
+    class pair (the same class pair on both sides) and shortcut pairs one
+    by one. *)

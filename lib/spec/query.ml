@@ -166,30 +166,91 @@ type outcome = {
 
 let max_evidence = 8
 
-let cap paths =
-  List.filteri (fun i _ -> i < max_evidence) paths
+(* The first [n] elements of [l] that satisfy [keep], in order. *)
+let take_matching ?(keep = fun _ -> true) n l =
+  let rec go n acc = function
+    | x :: tl when n > 0 ->
+        if keep x then go (n - 1) (x :: acc) tl else go n acc tl
+    | _ -> List.rev acc
+  in
+  go n [] l
 
-(* Interior routers of [h_s; r_1; ...; r_n; h_d]. *)
+let cap paths = take_matching max_evidence paths
+
+(* Interior routers of [h_s; r_1; ...; r_n; h_d], in one pass. *)
 let interior = function
-  | _ :: (_ :: _ as rest) -> List.filteri (fun i _ -> i < List.length rest - 1) rest
-  | _ -> []
+  | [] -> []
+  | _ :: rest ->
+      let rec drop_last = function
+        | [] | [ _ ] -> []
+        | x :: tl -> x :: drop_last tl
+      in
+      drop_last rest
 
-let eval dp p =
-  let s, d = endpoints p in
-  let paths = Routing.Dataplane.paths dp ~src:s ~dst:d in
-  match p with
-  | Reachability _ ->
-      { holds = paths <> []; witness = cap paths; counterexample = [] }
-  | Isolation _ -> { holds = paths = []; witness = []; counterexample = cap paths }
-  | Waypoint (_, _, w) ->
-      let missing = List.filter (fun p -> not (List.mem w (interior p))) paths in
-      if paths <> [] && missing = [] then
-        { holds = true; witness = cap paths; counterexample = [] }
-      else { holds = false; witness = []; counterexample = cap missing }
-  | Loadbalance (_, _, n) ->
-      if List.length paths >= n then
-        { holds = true; witness = cap paths; counterexample = [] }
-      else { holds = false; witness = []; counterexample = cap paths }
+(* Whether [w] is an interior hop of [path], without building the
+   interior. *)
+let on_interior w = function
+  | [] -> false
+  | _ :: rest ->
+      let rec go = function
+        | x :: (_ :: _ as tl) -> String.equal x w || go tl
+        | _ -> false
+      in
+      go rest
+
+let common_waypoints = function
+  | [] -> []
+  | first :: others ->
+      List.fold_left
+        (fun cands p ->
+          let on w = on_interior w p in
+          if List.for_all on cands then cands else List.filter on cands)
+        (interior first) others
+      |> List.sort_uniq String.compare
+
+(* A verdict depends on the pair only through its path count and the
+   routers every path crosses, and both are shared by all members of a
+   class pair (they differ only in the renamed endpoints). So an
+   evaluator computes the common waypoints once per class pair; the
+   evidence still comes from the pair's own paths. *)
+let evaluator dp =
+  let commons = Hashtbl.create 64 in
+  let common ~src ~dst paths =
+    match Routing.Dataplane.class_key dp ~src ~dst with
+    | None -> common_waypoints paths
+    | Some k -> (
+        match Hashtbl.find_opt commons k with
+        | Some c -> c
+        | None ->
+            let c = common_waypoints paths in
+            Hashtbl.add commons k c;
+            c)
+  in
+  fun p ->
+    let s, d = endpoints p in
+    let paths = Routing.Dataplane.paths dp ~src:s ~dst:d in
+    match p with
+    | Reachability _ ->
+        { holds = paths <> []; witness = cap paths; counterexample = [] }
+    | Isolation _ -> { holds = paths = []; witness = []; counterexample = cap paths }
+    | Waypoint (_, _, w) ->
+        if paths <> [] && List.mem w (common ~src:s ~dst:d paths) then
+          { holds = true; witness = cap paths; counterexample = [] }
+        else
+          {
+            holds = false;
+            witness = [];
+            counterexample =
+              take_matching
+                ~keep:(fun p -> not (on_interior w p))
+                max_evidence paths;
+          }
+    | Loadbalance (_, _, n) ->
+        if List.compare_length_with paths n >= 0 then
+          { holds = true; witness = cap paths; counterexample = [] }
+        else { holds = false; witness = []; counterexample = cap paths }
+
+let eval dp p = evaluator dp p
 
 (* ---- differential verification ---- *)
 
@@ -210,11 +271,12 @@ type entry = {
 }
 
 let differential ?(rename = fun n -> n) ~orig ~anon ~known policies =
+  let eval_orig = evaluator orig and eval_anon = evaluator anon in
   List.map
     (fun p ->
-      let e_anon = eval anon (map_names rename p) in
+      let e_anon = eval_anon (map_names rename p) in
       if List.for_all known (nodes p) then
-        let e_orig = eval orig p in
+        let e_orig = eval_orig p in
         let e_verdict =
           match (e_orig.holds, e_anon.holds) with
           | true, true -> Holds_both

@@ -10,11 +10,12 @@
     vs. anonymized network pair with a typed verdict and
     witness/counterexample paths per policy.
 
-    Evaluation is per-policy table lookups on an already-extracted data
-    plane, so the expensive part (simulation + FEC-collapsed trace
-    extraction) is paid once per network, not per policy: verifying P
-    policies costs O(classes) for the extraction plus O(P) lookups, not
-    O(host-pairs × P). *)
+    Evaluation runs on an already-extracted data plane, so simulation
+    and trace extraction are paid once per network, not per policy. A
+    verdict is computed once per class pair of the data plane (see
+    {!Routing.Dataplane.class_pair}) and shared by every policy of the
+    same kind on a member pair; only the capped evidence is read from
+    the pair's own paths. *)
 
 type policy =
   | Reachability of string * string
@@ -78,6 +79,11 @@ val max_evidence : int
 val eval : Routing.Dataplane.t -> policy -> outcome
 (** Total: a node unknown to the data plane simply has no paths (so
     reachability fails and isolation holds). *)
+
+val common_waypoints : Routing.Dataplane.path list -> string list
+(** Routers on the interior of every path (the path without its two
+    end hosts), sorted and deduplicated; [[]] for no paths. Each path is
+    scanned once per router still common to the paths before it. *)
 
 (** {1 Differential verification} *)
 

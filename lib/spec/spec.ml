@@ -11,31 +11,37 @@ let policy_to_string = function
 let endpoints = function
   | Reachability (s, d) | Waypoint (s, d, _) | Loadbalance (s, d, _) -> (s, d)
 
-(* Interior routers shared by every path of the pair. *)
-let common_waypoints paths =
-  let interior p =
-    match p with
-    | _ :: rest when rest <> [] -> List.filteri (fun i _ -> i < List.length rest - 1) rest
-    | _ -> []
-  in
-  match List.map interior paths with
-  | [] -> []
-  | first :: others ->
-      List.filter (fun w -> List.for_all (List.mem w) others) first
-      |> List.sort_uniq String.compare
+let pair_policies (s, d) ~waypoints ~n =
+  Reachability (s, d)
+  :: (List.map (fun w -> Waypoint (s, d, w)) waypoints
+     @ if n >= 2 then [ Loadbalance (s, d, n) ] else [])
 
-let policies_of_pair (s, d) paths =
+(* The policies of every pair in [members], all of which share the path
+   count and interior routers of [paths]. *)
+let policies_of_members members paths =
   if paths = [] then []
   else
-    Reachability (s, d)
-    :: (List.map (fun w -> Waypoint (s, d, w)) (common_waypoints paths)
-       @ if List.length paths >= 2 then [ Loadbalance (s, d, List.length paths) ] else [])
+    let waypoints = Query.common_waypoints paths and n = List.length paths in
+    List.concat_map (fun pair -> pair_policies pair ~waypoints ~n) members
 
 let mine_paths pairs =
-  List.concat_map (fun (pair, paths) -> policies_of_pair pair paths) pairs
+  List.concat_map (fun (pair, paths) -> policies_of_members [ pair ] paths) pairs
   |> List.sort_uniq compare
 
-let mine dp = mine_paths (Routing.Dataplane.all_delivered dp)
+(* Once per class pair, on the representative's paths, mapped onto the
+   members; shortcut pairs one by one. *)
+let mine (dp : Routing.Dataplane.t) =
+  let paths (s, d) = Routing.Dataplane.paths dp ~src:s ~dst:d in
+  let classes =
+    List.concat_map
+      (fun (cp : Routing.Dataplane.class_pair) ->
+        policies_of_members cp.members (paths cp.rep))
+      dp.class_pairs
+  in
+  Hashtbl.fold
+    (fun pair () acc -> List.rev_append (policies_of_members [ pair ] (paths pair)) acc)
+    dp.shortcuts classes
+  |> List.sort_uniq compare
 
 type diff = {
   kept : policy list;

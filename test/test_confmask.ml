@@ -37,7 +37,7 @@ let assert_invariants ?(k_r = 4) name (r : Workflow.report) =
     (fun (fh, _) ->
       List.iter
         (fun src ->
-          let t = Hashtbl.find dp (src, fh) in
+          let t = Hashtbl.find dp.Routing.Dataplane.pairs (src, fh) in
           if t.Routing.Dataplane.delivered = [] then
             Alcotest.failf "%s: fake host %s unreachable from %s" name fh src)
         (Workflow.real_hosts r))
@@ -136,7 +136,7 @@ let test_fake_routers_with_pii () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && (Hashtbl.find dp.Routing.Dataplane.pairs (s, d)).Routing.Dataplane.delivered = []
           then Alcotest.failf "%s -> %s unreachable" s d)
         hosts)
     hosts
@@ -258,7 +258,7 @@ let test_pii_addon () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && (Hashtbl.find dp.Routing.Dataplane.pairs (s, d)).Routing.Dataplane.delivered = []
           then Alcotest.failf "pii: %s -> %s unreachable" s d)
         hosts)
     hosts;
@@ -296,7 +296,7 @@ let test_fake_routers () =
   let src = List.hd (Workflow.real_hosts r) in
   List.iter
     (fun fr ->
-      let t = Hashtbl.find dp (src, fr ^ "-h1") in
+      let t = Hashtbl.find dp.Routing.Dataplane.pairs (src, fr ^ "-h1") in
       check Alcotest.bool (fr ^ "-h1 reachable") true
         (t.Routing.Dataplane.delivered <> []))
     r.fake_router_names
@@ -584,6 +584,36 @@ let test_deanon_assess_canonicalization () =
   Alcotest.(check (float 0.0)) "precision after dedup" 1.0 s.precision;
   Alcotest.(check (float 0.0)) "recall half" 0.5 s.recall
 
+(* ---- batch cells ---- *)
+
+(* A cell's consumers — verification, red team, equivalence check — share
+   the report's two data planes, so the whole cell extracts exactly one
+   per side. *)
+let test_batch_cell_extracts_once () =
+  let was = Netcore.Telemetry.enabled () in
+  Netcore.Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Netcore.Telemetry.set_enabled was) @@ fun () ->
+  let extractions = Netcore.Telemetry.counter "dataplane.extractions" in
+  let out = Filename.temp_file "confmask-cell" "" in
+  Sys.remove out;
+  let before = Netcore.Telemetry.value extractions in
+  let record =
+    Batch.execute ~out ~cache:None ~format:Configlang.Vendor.Cisco
+      {
+        Batch.job_id = "cell";
+        job_source = Batch.Catalog "D";
+        job_params = Workflow.default_params;
+      }
+  in
+  let status =
+    match Netcore.Json.parse record with
+    | Ok j -> Option.bind (Netcore.Json.member "status" j) Netcore.Json.str
+    | Error _ -> None
+  in
+  Alcotest.(check (option string)) "cell ok" (Some "ok") status;
+  Alcotest.(check int) "one extraction per side" 2
+    (Netcore.Telemetry.value extractions - before)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -644,6 +674,11 @@ let () =
             test_deanon_assess_conventions;
           Alcotest.test_case "assess canonicalization" `Quick
             test_deanon_assess_canonicalization;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "cell extracts each data plane once" `Quick
+            test_batch_cell_extracts_once;
         ] );
       ("qcheck", qsuite);
     ]

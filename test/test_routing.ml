@@ -277,7 +277,7 @@ let test_no_route_dropped () =
   let h4' = host "h4" "172.20.4.10" "172.20.4.1" in
   let s = Simulate.run_exn [ r1 (); r2; r3; r4_no_adv; h1; h2; h4' ] in
   let dp = Simulate.dataplane s in
-  let t = Hashtbl.find dp ("h1", "h4") in
+  let t = Hashtbl.find dp.Dataplane.pairs ("h1", "h4") in
   check paths_t "no delivery" [] t.delivered;
   check Alcotest.bool "dropped recorded" true (t.dropped <> [])
 
@@ -877,7 +877,7 @@ let prop_all_pairs_routable =
             (fun d ->
               String.equal s d
               ||
-              let t = Hashtbl.find dp (s, d) in
+              let t = Hashtbl.find dp.Dataplane.pairs (s, d) in
               t.Dataplane.delivered <> [] && t.looped = [])
             hosts)
         hosts)

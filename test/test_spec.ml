@@ -19,16 +19,16 @@ let trace delivered =
 
 (* A hand-built data plane: exactly the given (src, dst) -> paths map. *)
 let dp_of pairs =
-  let dp : Dataplane.t = Hashtbl.create 8 in
-  List.iter (fun (s, d, paths) -> Hashtbl.replace dp (s, d) (trace paths)) pairs;
-  dp
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun (s, d, paths) -> Hashtbl.replace tbl (s, d) (trace paths)) pairs;
+  Dataplane.of_pairs tbl
 
 (* ---- miner edge cases ---- *)
 
 let mine_empty () =
   Alcotest.(check int)
     "empty data plane mines an empty specification" 0
-    (List.length (Spec.mine (Hashtbl.create 0)))
+    (List.length (Spec.mine (Dataplane.of_pairs (Hashtbl.create 0))))
 
 let mine_single_host () =
   (* One host means no ordered host pair, hence no policy at all. *)
@@ -41,7 +41,7 @@ let mine_single_host () =
   in
   let snap = Routing.Simulate.run_exn (Netgen.Emit.emit spec) in
   let dp = Routing.Simulate.dataplane snap in
-  Alcotest.(check int) "no pairs" 0 (Hashtbl.length dp);
+  Alcotest.(check int) "no pairs" 0 (Hashtbl.length dp.pairs);
   Alcotest.(check int) "no policies" 0 (List.length (Spec.mine dp))
 
 let mine_loadbalance_boundary () =
@@ -258,6 +258,25 @@ let evidence_capped () =
     "loadbalance(12) holds despite the cap" true
     (Q.eval dp (Q.Loadbalance ("a", "b", 12))).Q.holds
 
+let waypoint_counterexample () =
+  let paths =
+    [ [ "a"; "r1"; "b" ]; [ "a"; "r2"; "b" ]; [ "a"; "r2"; "r1"; "b" ] ]
+    @ List.init 10 (fun i -> [ "a"; Printf.sprintf "x%02d" i; "b" ])
+  in
+  let dp = dp_of [ ("a", "b", paths) ] in
+  let o = Q.eval dp (Q.Waypoint ("a", "b", "r1")) in
+  Alcotest.(check bool) "waypoint(r1) fails" false o.Q.holds;
+  (* The evidence is the first paths, in order, that miss r1. *)
+  Alcotest.(check (list (list string)))
+    "counterexample = first paths without r1"
+    ([ [ "a"; "r2"; "b" ] ] @ List.init 7 (fun i -> [ "a"; Printf.sprintf "x%02d" i; "b" ]))
+    o.Q.counterexample;
+  (* An endpoint is never a waypoint. *)
+  let e = Q.eval dp (Q.Waypoint ("a", "b", "b")) in
+  Alcotest.(check bool) "endpoint waypoint fails" false e.Q.holds;
+  Alcotest.(check int) "every path is evidence" Q.max_evidence
+    (List.length e.Q.counterexample)
+
 (* ---- qcheck properties ---- *)
 
 let qcheck_parse_roundtrip =
@@ -365,6 +384,7 @@ let () =
         [
           case "verdicts and summary" differential_verdicts;
           case "evidence cap" evidence_capped;
+          case "waypoint counterexample" waypoint_counterexample;
         ] );
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
