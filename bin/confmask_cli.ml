@@ -127,7 +127,9 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
   set_jobs jobs;
   setup_telemetry ~trace ~metrics_out ~selfcheck;
   let cache = Option.map Routing.Engine.open_cache cache_dir in
-  let configs = read_dir in_dir in
+  let configs =
+    Netcore.Telemetry.with_span "anonymize.read" (fun () -> read_dir in_dir)
+  in
   let params =
     { Confmask.Workflow.k_r; k_h; noise; seed; pii;
       pii_key = Option.map parse_key pii_key; fake_routers }
@@ -138,19 +140,28 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
         Printf.eprintf "anonymization failed: %s\n" m;
         1
     | Ok r ->
-        write_configs ~format out_dir r.anon_configs;
-        (* The owner-side secret: which elements are fake. Needed to
-           interpret answers coming back from collaborators; never share. *)
-        let oc = open_out (Filename.concat out_dir "confmask-secrets.txt") in
-        Printf.fprintf oc "# Private mapping - do NOT share with the configs\n";
-        List.iter
-          (fun (u, v) -> Printf.fprintf oc "fake-link %s %s\n" u v)
-          r.fake_edges;
-        List.iter
-          (fun (fake, real) -> Printf.fprintf oc "fake-host %s (copy of %s)\n" fake real)
-          r.fake_hosts;
-        List.iter (fun fr -> Printf.fprintf oc "fake-router %s\n" fr) r.fake_router_names;
-        close_out oc;
+        Netcore.Telemetry.with_span "anonymize.write" (fun () ->
+            write_configs ~format out_dir r.anon_configs;
+            (* The owner-side secret: which elements are fake. Needed to
+               interpret answers coming back from collaborators; never
+               share. *)
+            let oc = open_out (Filename.concat out_dir "confmask-secrets.txt") in
+            Printf.fprintf oc "# Private mapping - do NOT share with the configs\n";
+            List.iter
+              (fun (u, v) -> Printf.fprintf oc "fake-link %s %s\n" u v)
+              r.fake_edges;
+            List.iter
+              (fun (fake, real) ->
+                Printf.fprintf oc "fake-host %s (copy of %s)\n" fake real)
+              r.fake_hosts;
+            List.iter
+              (fun fr -> Printf.fprintf oc "fake-router %s\n" fr)
+              r.fake_router_names;
+            close_out oc);
+        let equivalent =
+          Netcore.Telemetry.with_span "anonymize.equivalence" (fun () ->
+              Confmask.Workflow.functional_equivalence r)
+        in
         let topo = Confmask.Metrics.topology_of_snapshot r.anon_snapshot in
         let uc = Confmask.Metrics.config_utility ~orig:r.orig_configs ~anon:r.anon_configs in
         Printf.printf
@@ -163,8 +174,7 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
           (List.length r.fake_hosts)
           (List.length r.fake_router_names)
           r.equiv_iterations r.equiv_filters r.anon_filters_added
-          r.anon_filters_removed topo.min_degree_group uc
-          (Confmask.Workflow.functional_equivalence r);
+          r.anon_filters_removed topo.min_degree_group uc equivalent;
         0
   in
   (* After the writes and the equivalence check, so the report covers

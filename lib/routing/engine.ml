@@ -45,8 +45,8 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    the fingerprinted inputs). Four entry kinds, distinguished by a key
    namespace tag so their [Marshal]ed payload types can never mix:
 
-   - ["state:"] — the whole engine state (domains, candidates, base and
-     final FIBs, BGP routes) of a from-scratch build, keyed by every
+   - ["state:"] — the whole engine state (domains, base and final FIBs,
+     BGP routes) of a from-scratch build, keyed by every
      router's full fingerprint. Only written for [prev = None] builds:
      keying one entry per fixpoint iteration would balloon the store
      with megabyte-scale states that in-memory reuse already covers.
@@ -68,7 +68,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    payload the engine persists is still [Marshal]ed, so the engine —
    not the store — must pin the compiler version until the payloads get
    a portable codec of their own. *)
-let cache_version = "confmask-engine-2/ocaml-" ^ Sys.ocaml_version
+let cache_version = "confmask-engine-3/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
 
 let disk_get : type a. Diskcache.t option -> string -> a option =
@@ -134,7 +134,8 @@ type t = {
   compiled : Compiled.t;  (* reused across topology-preserving edits *)
   fps : string Smap.t;  (* full fingerprint per router *)
   doms : dom_cache Dmap.t;
-  cands : Fib.route list Smap.t;  (* per-router non-BGP candidates *)
+  (* per router: local routes and the IGP lists, as {!candidates} gives *)
+  cands : (Fib.route list * Fib.route list list) Smap.t;
   base : Fib.t Smap.t;
   bgp : Fib.route list Smap.t;
   fibs : Fib.t Smap.t;
@@ -315,27 +316,34 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
     dc_eigrp = eigrp;
   }
 
-(* Per-router candidates of a domain, in the ospf @ rip @ eigrp order the
-   from-scratch path produces. *)
-let domain_cache_candidates dc =
-  List.fold_left
-    (fun acc m ->
-      let ospf =
-        match Smap.find_opt m dc.dc_sel with Some (_, _, rs) -> rs | None -> []
-      in
-      let rip = Option.value ~default:[] (Smap.find_opt m dc.dc_rip) in
-      let eigrp = Option.value ~default:[] (Smap.find_opt m dc.dc_eigrp) in
-      match ospf @ rip @ eigrp with
-      | [] -> acc
-      | routes -> Smap.add m routes acc)
-    Smap.empty dc.dc_members
+(* Per-router base-FIB inputs: the local (connected and static) routes,
+   recomputed every build, and one list per IGP protocol exactly as the
+   domain cache holds it — uncopied, so a member whose selection
+   [compute_domain] reused hands over the previous build's lists
+   physically. *)
+let candidates (net : Device.network) doms =
+  Telemetry.with_span "engine.candidates" @@ fun () ->
+  let find m tbl = Option.value ~default:[] (Smap.find_opt m tbl) in
+  Dmap.fold
+    (fun _ dc acc ->
+      List.fold_left
+        (fun acc m ->
+          let ospf =
+            match Smap.find_opt m dc.dc_sel with Some (_, _, rs) -> rs | None -> []
+          in
+          Smap.add m
+            ( Simulate.local_routes net (Smap.find m net.routers),
+              [ ospf; find m dc.dc_rip; find m dc.dc_eigrp ] )
+            acc)
+        acc dc.dc_members)
+    doms Smap.empty
 
 (* The whole-state payload of a from-scratch build. [net] is recompiled
-   from the configs on restore (cheap, deterministic) and [fps] is what
-   the key was derived from, so neither is stored. *)
+   from the configs on restore (cheap, deterministic), [fps] is what the
+   key was derived from, and [candidates] of [ps_doms] shares the
+   domains' lists physically, so none is stored. *)
 type persisted_state = {
   ps_doms : dom_cache Dmap.t;
-  ps_cands : Fib.route list Smap.t;
   ps_base : Fib.t Smap.t;
   ps_bgp : Fib.route list Smap.t;
   ps_fibs : Fib.t Smap.t;
@@ -383,7 +391,7 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
               compiled;
               fps;
               doms = ps.ps_doms;
-              cands = ps.ps_cands;
+              cands = candidates net ps.ps_doms;
               base = ps.ps_base;
               bgp = ps.ps_bgp;
               fibs = ps.ps_fibs;
@@ -413,27 +421,20 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
           (Simulate.igp_domains net)
         |> List.fold_left (fun acc (k, v) -> Dmap.add k v acc) Dmap.empty
       in
-      let igp =
-        Dmap.fold
-          (fun _ dc acc -> Simulate.merge_candidates acc (domain_cache_candidates dc))
-          doms Smap.empty
-      in
-      let cands =
-        Smap.mapi
-          (fun name r ->
-            Simulate.connected_routes r
-            @ Simulate.static_routes net r
-            @ Option.value ~default:[] (Smap.find_opt name igp))
-          net.routers
-      in
+      let cands = candidates net doms in
       let base =
+        Telemetry.with_span "engine.base_fib" @@ fun () ->
         Smap.mapi
-          (fun name c ->
+          (fun name (local, igps) ->
+            (* IGP lists by identity (see [candidates]); local routes by
+               value, as statics resolve through other routers' addresses. *)
             let reusable =
               match prev with
               | Some p -> (
                   match Smap.find_opt name p.cands with
-                  | Some c' when c = c' -> Smap.find_opt name p.base
+                  | Some (local', igps')
+                    when List.equal ( == ) igps igps' && local = local' ->
+                      Smap.find_opt name p.base
                   | _ -> None)
               | None -> None
             in
@@ -443,7 +444,7 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
                 fib
             | None ->
                 Telemetry.incr c_fib_build;
-                Fib.of_candidates c)
+                Simulate.base_fib local igps)
           cands
       in
       (* A router's base FIB equals the previous engine's, physically (the
@@ -525,7 +526,6 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
           disk_put cache (state_key fps)
             {
               ps_doms = doms;
-              ps_cands = cands;
               ps_base = base;
               ps_bgp = bgp;
               ps_fibs = fibs;

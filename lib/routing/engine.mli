@@ -16,6 +16,11 @@
       for members whose filters changed;
     - RIP/EIGRP propagate filters, so a DV-relevant change at any member
       recomputes that domain's DV routes;
+    - a router's base FIB (all but BGP) is reused when its OSPF, RIP and
+      EIGRP lists are physically the previous build's (a reused selection
+      is handed over uncopied) and its connected and static routes are
+      structurally equal — by value, as static next hops resolve through
+      other routers' addresses;
     - BGP is a global fixpoint and is redone whenever anything changed.
 
     Results are bit-identical to [Simulate.run] on the same configs: the
@@ -39,7 +44,8 @@
     [engine.fib_reuse]/[engine.fib_build], [engine.edits], and the disk
     hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],
     [engine.bgp_disk]) and spans
-    ([engine.build], [engine.domains], [engine.bgp]). When the telemetry
+    ([engine.build], [engine.domains], [engine.candidates],
+    [engine.base_fib], [engine.bgp]). When the telemetry
     self-check period is positive ([CONFMASK_SELFCHECK], [--selfcheck]),
     every Nth {!apply_edit} additionally shadows the incremental result
     with a from-scratch [Simulate.run] and raises [Failure] naming the

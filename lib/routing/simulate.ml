@@ -1,4 +1,3 @@
-(* merged candidate routes per protocol *)
 module Smap = Device.Smap
 module Imap = Map.Make (Int)
 
@@ -103,11 +102,9 @@ let igp_domains (net : Device.network) =
         };
       ]
 
-let merge_candidates a b = Smap.union (fun _ x y -> Some (x @ y)) a b
-
-(* OSPF, RIP and EIGRP candidates of one domain, merged per router in
-   administrative order (ospf @ rip @ eigrp). Protocols none of the
-   members run are skipped. *)
+(* OSPF, RIP and EIGRP candidates of one domain: per member, one list
+   per protocol in administrative order. Protocols none of the members
+   run are skipped. *)
 let domain_candidates ?pool (net : Device.network) d =
   let member_runs f =
     List.exists
@@ -132,19 +129,19 @@ let domain_candidates ?pool (net : Device.network) d =
       Eigrp.compute ~scope net
     else Smap.empty
   in
-  merge_candidates (merge_candidates ospf rip) eigrp
+  let find m tbl = Option.value ~default:[] (Smap.find_opt m tbl) in
+  List.fold_left
+    (fun acc m -> Smap.add m [ find m ospf; find m rip; find m eigrp ] acc)
+    Smap.empty d.dom_members
 
-let base_fibs_of_candidates (net : Device.network) igp_candidates =
-  Smap.mapi
-    (fun name (r : Device.router) ->
-      (* IGP candidates arrive in the descending-prefix order batched
-         selection emits, so after the handful of connected and static
-         routes they merge in linearly; [add_sorted_desc] falls back to
-         per-candidate inserts if a protocol mix breaks the order. *)
-      Fib.add_sorted_desc
-        (Fib.of_candidates (connected_routes r @ static_routes net r))
-        (Option.value ~default:[] (Smap.find_opt name igp_candidates)))
-    net.routers
+let local_routes net r = connected_routes r @ static_routes net r
+
+(* IGP candidates arrive in the descending-prefix order batched selection
+   emits, so after the handful of local routes each protocol's list
+   merges in linearly; [add_sorted_desc] falls back to per-candidate
+   inserts if a list breaks the order. *)
+let base_fib local igps =
+  List.fold_left Fib.add_sorted_desc (Fib.of_candidates local) igps
 
 let run_net ?pool (net : Device.network) =
   let has_bgp =
@@ -155,9 +152,15 @@ let run_net ?pool (net : Device.network) =
     Netcore.Pool.parallel_map ?pool
       (fun d -> domain_candidates ?pool net d)
       (igp_domains net)
-    |> List.fold_left merge_candidates Smap.empty
+    |> List.fold_left (Smap.union (fun _ a _ -> Some a)) Smap.empty
   in
-  let base_fibs = base_fibs_of_candidates net igp_candidates in
+  let base_fibs =
+    Smap.mapi
+      (fun name r ->
+        base_fib (local_routes net r)
+          (Option.value ~default:[] (Smap.find_opt name igp_candidates)))
+      net.routers
+  in
   if not has_bgp then base_fibs
   else
     let bgp_candidates = Bgp.compute net ~igp_fibs:base_fibs in

@@ -42,10 +42,9 @@ val host_prefixes : Device.network -> (Netcore.Prefix.t * string) list
 
 (** {1 Building blocks shared with the incremental engine} *)
 
-val connected_routes : Device.router -> Fib.route list
-
-val static_routes : Device.network -> Device.router -> Fib.route list
-(** Static routes whose next hop resolves over a connected subnet. *)
+val local_routes : Device.network -> Device.router -> Fib.route list
+(** Connected routes, then static routes whose next hop resolves over a
+    connected subnet to the router owning that address. *)
 
 type igp_domain = {
   dom_key : [ `As of int | `Residual | `Global ];
@@ -57,18 +56,9 @@ val igp_domains : Device.network -> igp_domain list
 (** The disjoint IGP domains of the network: one per AS plus a residual
     domain when BGP is present, a single global domain otherwise. *)
 
-val merge_candidates :
-  Fib.route list Smap.t -> Fib.route list Smap.t -> Fib.route list Smap.t
-(** Per-router concatenation (left routes first). *)
-
-val domain_candidates :
-  ?pool:Netcore.Pool.t ->
-  Device.network ->
-  igp_domain ->
-  Fib.route list Smap.t
-(** OSPF @ RIP @ EIGRP candidates of one domain's members. *)
-
-val base_fibs_of_candidates :
-  Device.network -> Fib.route list Smap.t -> Fib.t Smap.t
-(** Per-router FIBs from connected, static and the given IGP candidates
-    (everything except BGP). *)
+val base_fib : Fib.route list -> Fib.route list list -> Fib.t
+(** [base_fib local igps] is a router's FIB before BGP: its
+    {!local_routes}, then each IGP protocol's candidates in
+    administrative order (OSPF, RIP, EIGRP). Equal to
+    [Fib.of_candidates (local @ List.concat igps)]; the one construction
+    path of both this module and the incremental engine. *)

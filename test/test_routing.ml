@@ -1155,6 +1155,91 @@ let test_engine_bgp_skip () =
   check Alcotest.bool "FIBs preserved" true
     (Device.Smap.equal ( = ) (Engine.fibs eng) (Engine.fibs eng'))
 
+(* Base-FIB reuse gates on the IGP lists' identity and on the local
+   routes' structure. Here r1's config stays byte-for-byte the same and
+   no OSPF input moves, so its IGP list is reused physically — yet its
+   static next hop 172.16.0.3 passes from r3 to r2 when the two swap
+   addresses on a LAN outside OSPF. The base FIB must be rebuilt. *)
+let test_engine_static_owner_moves () =
+  let lan name addr c =
+    let open Configlang.Ast in
+    if c.hostname <> name then c
+    else
+      Confmask.Edits.add_interface c ~name:"Eth5"
+        ~addr:(Netcore.Ipv4.of_string_exn addr) ~plen:24 ~desc:"lan" ()
+  in
+  let with_lan ~r2 ~r3 =
+    List.map
+      (fun c ->
+        let open Configlang.Ast in
+        let c = lan "r1" "172.16.0.1" c |> lan "r2" r2 |> lan "r3" r3 in
+        if c.hostname <> "r1" then c
+        else
+          {
+            c with
+            statics =
+              [
+                {
+                  st_prefix = Netcore.Prefix.of_string_exn "10.2.2.0/24";
+                  st_next_hop = Netcore.Ipv4.of_string_exn "172.16.0.3";
+                };
+              ];
+          })
+      (example_net ())
+  in
+  let before = with_lan ~r2:"172.16.0.2" ~r3:"172.16.0.3" in
+  let after = with_lan ~r2:"172.16.0.3" ~r3:"172.16.0.2" in
+  let static_via eng =
+    match
+      Fib.find (Device.Smap.find "r1" (Engine.fibs eng))
+        (Netcore.Prefix.of_string_exn "10.2.2.0/24")
+    with
+    | Some r -> (Fib.proto_to_string r.rt_proto, Fib.nexthop_names r)
+    | None -> ("none", [])
+  in
+  let via_t = Alcotest.(pair string (list string)) in
+  let spf_full = Netcore.Telemetry.counter "engine.spf_full" in
+  Netcore.Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Netcore.Telemetry.set_enabled false)
+  @@ fun () ->
+  let eng = Engine.of_configs_exn before in
+  check via_t "static via r3" ("static", [ "r3" ]) (static_via eng);
+  let f0 = Netcore.Telemetry.value spf_full in
+  let eng' = Engine.apply_edit_exn eng after in
+  check Alcotest.int "OSPF state and selection reused" f0
+    (Netcore.Telemetry.value spf_full);
+  check via_t "static follows the address to r2" ("static", [ "r2" ])
+    (static_via eng');
+  check Alcotest.bool "FIBs equal Simulate.run" true
+    (Device.Smap.equal ( = ) (Engine.fibs eng')
+       (Simulate.run_exn after).fibs)
+
+(* On an IGP-only network the final FIB is the base FIB, so
+   [engine.fib_build] counts exactly the routers whose base FIB was
+   rebuilt: none on a no-op edit, one for a deny filter at one router. *)
+let test_engine_fib_build_counts () =
+  let configs = example_net () in
+  let build = Netcore.Telemetry.counter "engine.fib_build" in
+  Netcore.Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Netcore.Telemetry.set_enabled false)
+  @@ fun () ->
+  let eng = Engine.of_configs_exn configs in
+  let b0 = Netcore.Telemetry.value build in
+  let eng = Engine.apply_edit_exn eng configs in
+  check Alcotest.int "no-op edit rebuilds nothing" b0
+    (Netcore.Telemetry.value build);
+  let denied =
+    Confmask.Attach.deny configs (Engine.network eng) ~router:"r1" ~toward:"r3"
+      (Netcore.Prefix.of_string_exn "10.4.4.0/24")
+  in
+  let eng = Engine.apply_edit_exn eng denied in
+  check Alcotest.int "deny at r1 rebuilds r1 only" (b0 + 1)
+    (Netcore.Telemetry.value build);
+  check Alcotest.(option (list string)) "delta is r1" (Some [ "r1" ])
+    (Engine.delta eng);
+  check Alcotest.bool "FIBs equal Simulate.run" true
+    (Device.Smap.equal ( = ) (Engine.fibs eng) (Simulate.run_exn denied).fibs)
+
 (* ---------------- engine: persistent disk cache ---------------- *)
 
 let temp_cache_dir () =
@@ -1227,6 +1312,30 @@ let test_engine_disk_cache_warm_equals_cold () =
     (disk_hits () > h0);
   check Alcotest.int "warm run never ran a full SPF" f0
     (Netcore.Telemetry.value full)
+
+(* A whole state restored from disk rederives its candidates from the
+   restored domains, so the IGP lists it hands the next build are the
+   ones that build reuses: a no-op edit after the restore rebuilds no
+   FIB at all. *)
+let test_engine_restored_state_reuses () =
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "A") in
+  let dir = temp_cache_dir () in
+  let cold = Engine.of_configs_exn ~cache:(Engine.open_cache dir) configs in
+  Netcore.Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Netcore.Telemetry.set_enabled false)
+  @@ fun () ->
+  let state_disk = Netcore.Telemetry.counter "engine.state_disk" in
+  let build = Netcore.Telemetry.counter "engine.fib_build" in
+  let s0 = Netcore.Telemetry.value state_disk in
+  let restored = Engine.of_configs_exn ~cache:(Engine.open_cache dir) configs in
+  check Alcotest.int "whole state restored" (s0 + 1)
+    (Netcore.Telemetry.value state_disk);
+  let b0 = Netcore.Telemetry.value build in
+  let eng = Engine.apply_edit_exn restored configs in
+  check Alcotest.int "no-op edit after restore rebuilds nothing" b0
+    (Netcore.Telemetry.value build);
+  check Alcotest.bool "FIBs equal the cold build" true
+    (Device.Smap.equal ( = ) (Engine.fibs cold) (Engine.fibs eng))
 
 let test_engine_disk_cache_corruption () =
   let states = record_walk ~seed:11 ~steps:4 (Netgen.Nets.find "CCNP") in
@@ -1346,6 +1455,12 @@ let () =
         engine_suite
         @ [
             Alcotest.test_case "no-op edit skips BGP" `Quick test_engine_bgp_skip;
+            Alcotest.test_case "static next hop changes owner" `Quick
+              test_engine_static_owner_moves;
+            Alcotest.test_case "fib_build counts rebuilt routers" `Quick
+              test_engine_fib_build_counts;
+            Alcotest.test_case "disk cache: restored state reuses FIBs" `Quick
+              test_engine_restored_state_reuses;
             Alcotest.test_case "disk cache: warm equals cold" `Quick
               test_engine_disk_cache_warm_equals_cold;
             Alcotest.test_case "disk cache: corruption degrades to cold" `Quick
