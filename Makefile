@@ -1,5 +1,5 @@
 .PHONY: all build test bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
-  verify-smoke redteam-smoke fuzz-smoke check clean
+  verify-smoke redteam-smoke e2e-smoke fuzz-smoke check clean
 
 all: build
 
@@ -181,6 +181,13 @@ redteam-smoke:
 	  --resume --out $(REDTEAM_SMOKE)/batch
 	cmp $(REDTEAM_SMOKE)/manifest.first.json $(REDTEAM_SMOKE)/batch/manifest.json
 
+# End-to-end benchmark self-test: drives the anonymize, batch-cell and
+# serve workload drivers on nets A and B, traced and untraced. Fails
+# unless every output checks and every parent span equals its children
+# plus its `unattributed` residual. Work files go to .e2ebench-work/.
+e2e-smoke:
+	python3 e2ebench/run.py --selftest
+
 # Randomized differential/metamorphic fuzz of the whole pipeline: 200
 # generated networks against every crucible oracle; failures are shrunk
 # and written to crucible-failures/ for adoption into test/corpus/.
@@ -189,7 +196,7 @@ fuzz-smoke:
 	  --minimize --corpus-dir crucible-failures
 
 check: build test bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
-  verify-smoke redteam-smoke fuzz-smoke
+  verify-smoke redteam-smoke e2e-smoke fuzz-smoke
 
 clean:
 	dune clean

@@ -517,78 +517,6 @@ let ext_scale () =
         [ 0; 4; 8 ])
     nets
 
-(* ---------------- Timing: incremental engine vs full re-simulation ------- *)
-
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
-let timing () =
-  let k_r = 6 and k_h = 2 in
-  header
-    (Printf.sprintf
-       "Timing: ConfMask pipeline wall-clock (k_R = %d, k_H = %d), full \
-        re-simulation per edit vs incremental engine"
-       k_r k_h)
-    "the incremental engine cuts pipeline time; the gap widens with network \
-     size (the fixpoints dominate). Hit rates come from the incremental \
-     run's engine counters. Results land in BENCH_PR2.json.";
-  Printf.printf "%-3s %-11s %14s %14s %9s %9s %9s %9s\n" "ID" "Network"
-    "full resim" "incremental" "speedup" "spf-hit" "fib-hit" "bgp-skip";
-  let measure id incremental =
-    let configs = Netgen.Nets.configs (Netgen.Nets.find id) in
-    match
-      Runs.pipeline ~incremental ~variant:Runs.Confmask_v ~k_r ~k_h configs
-    with
-    | Ok (_, _, _, _, seconds, stats) -> (seconds, stats)
-    | Error m -> failwith (Printf.sprintf "timing (net %s): %s" id m)
-  in
-  let rows =
-    List.map
-      (fun id ->
-        let base, _ = measure id false in
-        let inc, stats = measure id true in
-        let label = (Netgen.Nets.find id).label in
-        let spf_hit =
-          Runs.hit_rate stats ~reuse:"engine.spf_reuse" ~miss:"engine.spf_full"
-        in
-        let fib_hit =
-          Runs.hit_rate stats ~reuse:"engine.fib_reuse" ~miss:"engine.fib_build"
-        in
-        let bgp_skips = Runs.stat stats "engine.bgp_skip" in
-        Printf.printf
-          "%-3s %-11s %13.2fs %13.2fs %8.1fx %8.1f%% %8.1f%% %9d\n%!" id label
-          base inc (base /. inc) (100.0 *. spf_hit) (100.0 *. fib_hit)
-          bgp_skips;
-        (id, label, base, inc, spf_hit, fib_hit, bgp_skips))
-      (ids ())
-  in
-  let out = open_out "BENCH_PR2.json" in
-  Printf.fprintf out
-    "{\n  \"experiment\": \"confmask pipeline seconds, full re-simulation \
-     per edit vs incremental engine, with engine cache-hit rates\",\n\
-    \  \"k_r\": %d,\n  \"k_h\": %d,\n  \"seed\": %d,\n  \"jobs\": %d,\n\
-    \  \"networks\": [\n"
-    k_r k_h Runs.seed
-    (Netcore.Pool.jobs (Netcore.Pool.default ()));
-  List.iteri
-    (fun i (id, label, base, inc, spf_hit, fib_hit, bgp_skips) ->
-      Printf.fprintf out
-        "    {\"id\": \"%s\", \"label\": \"%s\", \"baseline_seconds\": %.3f, \
-         \"incremental_seconds\": %.3f, \"speedup\": %.2f, \
-         \"spf_hit_rate\": %.3f, \"fib_hit_rate\": %.3f, \
-         \"bgp_skips\": %d}%s\n"
-        (json_escape id) (json_escape label) base inc (base /. inc) spf_hit
-        fib_hit bgp_skips
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf out "  ]\n}\n";
-  close_out out;
-  Printf.printf "[wrote BENCH_PR2.json]\n"
-
 (* ---------------- Batch grids: cold vs warm persistent cache ---------- *)
 
 let batch_combos = [ (2, 2); (6, 2); (10, 2); (6, 4); (6, 6) ]
@@ -673,10 +601,12 @@ let batch_bench () =
   List.iteri
     (fun i (id, label, cold_s, warm_s, cold_full, warm_full, hits) ->
       Printf.fprintf out
-        "    {\"id\": \"%s\", \"label\": \"%s\", \"cold_seconds\": %.3f, \
+        "    {\"id\": %s, \"label\": %s, \"cold_seconds\": %.3f, \
          \"warm_seconds\": %.3f, \"speedup\": %.2f, \"cold_full_sims\": %d, \
          \"warm_full_sims\": %d, \"warm_disk_hits\": %d}%s\n"
-        (json_escape id) (json_escape label) cold_s warm_s (cold_s /. warm_s)
+        Netcore.Json.(to_string (Str id))
+        Netcore.Json.(to_string (Str label))
+        cold_s warm_s (cold_s /. warm_s)
         cold_full warm_full hits
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -689,60 +619,6 @@ let batch_bench () =
     cold_t warm_t (cold_t /. warm_t);
   close_out out;
   Printf.printf "[wrote BENCH_PR4.json]\n"
-
-(* ---------------- Bechamel microbenchmarks ---------------- *)
-
-let bechamel () =
-  header "Bechamel microbenchmarks: stage costs on net A (Enterprise) and G (FatTree04)"
-    "simulation dominates; parsing is negligible";
-  let open Bechamel in
-  let configs_a = Netgen.Nets.configs (Netgen.Nets.find "A") in
-  let configs_g = Netgen.Nets.configs (Netgen.Nets.find "G") in
-  let text_a =
-    String.concat "\n!\n" (List.map Configlang.Printer.to_string configs_a)
-  in
-  let orig_a = Routing.Simulate.run_exn configs_a in
-  let test name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"confmask"
-      [
-        test "parse-net-A" (fun () ->
-            List.map Configlang.Parser.parse_exn (String.split_on_char '!' text_a));
-        test "simulate-net-A" (fun () -> Routing.Simulate.run_exn configs_a);
-        test "simulate-net-G" (fun () -> Routing.Simulate.run_exn configs_g);
-        test "dataplane-net-A" (fun () -> Routing.Simulate.dataplane orig_a);
-        test "topo-anon-net-A" (fun () ->
-            Confmask.Topo_anon.anonymize ~rng:(Netcore.Rng.create 42) ~k:6
-              ~orig:orig_a configs_a);
-        test "pipeline-net-A" (fun () ->
-            Confmask.Workflow.run_exn
-              ~params:{ Confmask.Workflow.default_params with k_r = 6; k_h = 2 }
-              configs_a);
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Bechamel.Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  List.iter
-    (fun results ->
-      Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-      |> List.sort compare
-      |> List.iter (fun (name, ols) ->
-             let per_run =
-               match Analyze.OLS.estimates ols with
-               | Some (est :: _) -> Printf.sprintf "%10.3f ms/run" (est /. 1e6)
-               | Some [] | None -> "(no estimate)"
-             in
-             Printf.printf "%-40s %s\n" name per_run))
-    (benchmark ())
 
 (* ---------------- driver ---------------- *)
 
@@ -768,14 +644,13 @@ let experiments =
     ("ext-scale", ext_scale);
     ("deanon", deanon);
     ("redteam", redteam);
-    ("timing", timing);
     ("batch", batch_bench);
-    ("bechamel", bechamel);
   ]
 
 let () =
   (* Counters are cheap (one atomic add each) and the hit-rate columns of
-     fig16/timing need them, so the whole harness runs with telemetry on. *)
+     fig16 and the batch grid's counter deltas need them, so the whole
+     harness runs with telemetry on. *)
   Netcore.Telemetry.set_enabled true;
   let only = ref [] in
   let args = Array.to_list Sys.argv in

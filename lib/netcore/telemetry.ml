@@ -81,23 +81,6 @@ let spans () =
         span_table [])
   |> List.sort compare
 
-(* ---- self-check ---- *)
-
-let selfcheck_of_env () =
-  match Sys.getenv_opt "CONFMASK_SELFCHECK" with
-  | None -> 0
-  | Some s -> (
-      let s = String.trim s in
-      if s = "" then 0
-      else
-        match int_of_string_opt s with
-        | Some n -> max 0 n
-        | None -> 1)
-
-let selfcheck = Atomic.make (selfcheck_of_env ())
-let selfcheck_period () = Atomic.get selfcheck
-let set_selfcheck n = Atomic.set selfcheck (max 0 n)
-
 (* ---- reports ---- *)
 
 let reset () =

@@ -23,93 +23,48 @@ let acl_permits acl ~src ~dst =
   | None -> true
   | Some a -> Configlang.Ast.acl_permits a ~src ~dst
 
-(* The per-hop lookups a walk runs on: the interface and arrival tables
-   of a [Compiled.t], with route lookups answered either from per-router
-   LPM tries ([compiled_lookups]) or by probing the FIB maps directly
-   ([probe_lookups]). Both keep the first-match semantics of the list
-   scans they replace. *)
+(* The per-hop lookups every walk runs on: the interface and arrival
+   tables of a [Compiled.t], and each router's FIB probed for
+   longest-prefix match. *)
 type lookups = {
   lk_iface : string -> string -> Device.iface option;
       (* router -> out-interface name -> interface *)
   lk_arrival : string -> string -> string -> Device.iface option;
       (* router -> out-interface name -> next hop -> its arrival iface *)
-  lk_route : string -> Netcore.Ipv4.t -> Fib.route option;
-      (* router -> destination address -> FIB longest-prefix match *)
+  lk_probe : string -> Fib.probe option;
+      (* router -> its probed FIB; [None] for a router without one *)
 }
 
-let compiled_lookups c fibs =
-  let fib_tbl = Hashtbl.create 256 in
-  Smap.iter (fun name fib -> Hashtbl.replace fib_tbl name fib) fibs;
-  (* One trie per router, compiled on first lookup and shared by every
-     later packet of this extraction. *)
-  let lpms = Hashtbl.create 256 in
-  let lk_route r addr =
-    match Hashtbl.find_opt fib_tbl r with
+let lookups c fibs =
+  (* The slot table is complete before any walk runs and read-only after,
+     since one extraction's walks run on several domains. Each router's
+     FIB is probed on its first lookup; two domains racing on one slot
+     compute equal probes, and either may be kept. *)
+  let slots = Hashtbl.create 256 in
+  Smap.iter
+    (fun name fib -> Hashtbl.replace slots name (fib, Atomic.make None))
+    fibs;
+  let lk_probe r =
+    match Hashtbl.find_opt slots r with
     | None -> None
-    | Some fib ->
-        let lpm =
-          match Hashtbl.find_opt lpms r with
-          | Some l -> l
-          | None ->
-              let l = Fib.compile fib in
-              Hashtbl.add lpms r l;
-              l
-        in
-        Fib.lookup_lpm lpm addr
+    | Some (fib, slot) -> (
+        match Atomic.get slot with
+        | Some _ as pb -> pb
+        | None ->
+            let pb = Some (Fib.probe fib) in
+            Atomic.set slot pb;
+            pb)
   in
   {
     lk_iface = Compiled.find_iface c;
     lk_arrival = Compiled.arrival_iface c;
-    lk_route;
+    lk_probe;
   }
 
-(* Compiled interface/arrival tables with direct (un-compiled) FIB
-   probing. The FEC + suffix-memo extraction performs O(routers) route
-   lookups per destination instead of O(pairs × hops), too few to
-   amortize compiling a trie per router; [Fib.lookup] answers the same
-   longest-prefix match from the maps. *)
-(* Probe keys per address, cached: the extractor asks about the same few
-   host addresses thousands of times. *)
-let prefix_probes () =
-  let pfx_cache : (int, Netcore.Prefix.t array) Hashtbl.t = Hashtbl.create 64 in
-  fun addr ->
-    let key = Netcore.Ipv4.to_int addr in
-    match Hashtbl.find_opt pfx_cache key with
-    | Some a -> a
-    | None ->
-        let a = Array.init 33 (Netcore.Prefix.v addr) in
-        Hashtbl.add pfx_cache key a;
-        a
-
-(* Longest-prefix match against one probed FIB: try only the prefix
-   lengths the FIB actually contains (usually two or three), most
-   specific first — same result as [Fib.lookup]'s 33-length sweep. *)
-let probe_lpm pb pa =
-  let rec go = function
-    | [] -> None
-    | l :: tl -> (
-        match Fib.probe_find pb (Array.unsafe_get pa l) with
-        | Some r -> Some r
-        | None -> go tl)
-  in
-  go (Fib.probe_lens pb)
-
-let probe_table fibs =
-  let fib_tbl = Hashtbl.create 256 in
-  Smap.iter (fun name fib -> Hashtbl.replace fib_tbl name (Fib.probe fib)) fibs;
-  fib_tbl
-
-let probe_lookups c fib_tbl =
-  let probes = prefix_probes () in
-  {
-    lk_iface = Compiled.find_iface c;
-    lk_arrival = Compiled.arrival_iface c;
-    lk_route =
-      (fun r addr ->
-        match Hashtbl.find_opt fib_tbl r with
-        | None -> None
-        | Some pb -> probe_lpm pb (probes addr));
-  }
+let lookup_route lk router addr =
+  match lk.lk_probe router with
+  | None -> None
+  | Some pb -> Fib.probe_lookup pb addr
 
 (* Per-host walk inputs, hoisted so an extraction resolves each host's
    maps once instead of once per pair. [hi_starts] carries the exact
@@ -190,7 +145,7 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
       else
         let visited = Sset.add router visited in
         let rev = router :: rev in
-        match lk.lk_route router dst_addr with
+        match lookup_route lk router dst_addr with
         | None -> dropped := (src :: List.rev rev) :: !dropped
         | Some route when route.rt_nexthops = [] ->
             (* Connected route but the destination host is not attached
@@ -224,7 +179,7 @@ let trace_core ?max_paths lk (net : Device.network) ~src ~dst =
 
 let traceroute ?max_paths (net : Device.network) fibs ~src ~dst =
   trace_core ?max_paths
-    (lazy (compiled_lookups (Compiled.build net) fibs))
+    (lazy (lookups (Compiled.build net) fibs))
     net ~src ~dst
 
 type class_pair = { rep : string * string; members : (string * string) list }
@@ -417,7 +372,7 @@ let dest_memo (lk : lookups) (di : host_info) ~cap =
               mn_drop_paths = lazy [];
             }
           else
-            match lk.lk_route r dst_addr with
+            match lookup_route lk r dst_addr with
             | None | Some { Fib.rt_nexthops = []; _ } ->
                 {
                   mn_deliv = 0;
@@ -528,18 +483,8 @@ let shortcut_trace src dst =
 let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
     fibs =
   let memo_ok = no_acls net in
-  (* One probe accelerator per FIB, shared by classification and (on
-     filter-free networks) the walks: with the suffix memo in play route
-     lookups are scarce, so probing the FIB arrays directly beats
-     compiling tries. ACL-bearing networks walk pair by pair and
-     amortize per-router tries instead. *)
-  let probe_tbl = probe_table fibs in
-  let lk =
-    lazy
-      (if memo_ok then probe_lookups c probe_tbl else compiled_lookups c fibs)
-  in
+  let lk = lookups c fibs in
   let infos = List.map (fun (n, _) -> host_info net n) (Smap.bindings net.hosts) in
-  let lkf = Lazy.force lk in
   let acls = enumerate_acls net in
   (* Class index per host, in first-seen (canonical host) order. *)
   let class_of = Hashtbl.create 64 in
@@ -554,18 +499,16 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
      are only compared against each other. *)
   let infos_arr = Array.of_list infos in
   let nh = Array.length infos_arr in
-  let pfx = prefix_probes () in
-  let host_pfx = Array.map (fun hi -> pfx hi.hi_host.h_addr) infos_arr in
   let route_lists = Array.make nh [] in
   Smap.iter
     (fun name _ ->
-      let pb = Hashtbl.find_opt probe_tbl name in
+      let pb = lk.lk_probe name in
       for h = 0 to nh - 1 do
         let proj =
           match pb with
           | None -> None
           | Some pb -> (
-              match probe_lpm pb host_pfx.(h) with
+              match Fib.probe_lookup pb infos_arr.(h).hi_host.h_addr with
               | None -> None
               | Some route -> Some route.Fib.rt_nexthops)
         in
@@ -641,7 +584,7 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
     match Hashtbl.find_opt memos di.hi_name with
     | Some m -> m
     | None ->
-        let m = dest_memo lkf di ~cap:max_paths in
+        let m = dest_memo lk di ~cap:max_paths in
         Hashtbl.add memos di.hi_name m;
         m
   in
@@ -670,7 +613,7 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
                     memo_trace node ~cap:max_paths ~si)
               with
               | Some t -> t
-              | None -> trace_hosts ~max_paths lk ~si ~di
+              | None -> trace_hosts ~max_paths (Lazy.from_val lk) ~si ~di
             in
             (key, t))
           group)
@@ -762,7 +705,7 @@ let of_pairs pairs =
 (* The reference extraction: every ordered pair walked on its own. *)
 let extract_per_pair ?(max_paths = max_paths_default) ~compiled
     (net : Device.network) fibs =
-  let lk = lazy (compiled_lookups compiled fibs) in
+  let lk = lazy (lookups compiled fibs) in
   let hosts = List.map fst (Smap.bindings net.hosts) in
   let dp = Hashtbl.create (List.length hosts * List.length hosts) in
   List.iter

@@ -5,7 +5,11 @@
     (ECMP produces a branching DAG), enforcing interface packet filters
     (access groups) at every hop, and reporting delivered paths plus any
     dropped (no route), filtered (ACL deny — a black hole in the Appendix
-    B sense), or looping walks. *)
+    B sense), or looping walks.
+
+    Every route lookup of every walk, in {!traceroute}, {!extract} and
+    {!extract_per_pair} alike, is {!Fib.probe_lookup} against the
+    router's FIB, probed once on its first lookup. *)
 
 module Smap = Device.Smap
 

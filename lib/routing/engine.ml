@@ -126,7 +126,6 @@ type dom_cache = {
 }
 
 type t = {
-  incremental : bool;
   pool : Pool.t option;
   cache : Diskcache.t option;
   configs : Ast.config list;
@@ -150,7 +149,6 @@ let configs t = t.configs
 let network t = t.net
 let compiled t = t.compiled
 let fibs t = t.fibs
-let is_incremental t = t.incremental
 let cache t = t.cache
 let pool t = t.pool
 let delta t = t.delta
@@ -352,16 +350,11 @@ type persisted_state = {
 let state_key fps = "state:" ^ Digest.to_hex (digest (Smap.bindings fps))
 let bgp_key fps = "bgp:" ^ Digest.to_hex (digest (Smap.bindings fps))
 
-let build ?(incremental = true) ?pool ?cache ?prev configs =
+let build ?pool ?cache ?prev configs =
   Telemetry.with_span "engine.build" @@ fun () ->
   match Device.compile configs with
   | Error m -> Error m
   | Ok net ->
-      let prev = if incremental then prev else None in
-      (* [incremental:false] is the pre-engine cost model used as the
-         benchmark baseline; letting it hit the disk would corrupt that
-         baseline, so the cache is ignored along with [prev]. *)
-      let cache = if incremental then cache else None in
       (* The compiled form depends on interface-level topology only, so
          the filter edits the fixpoints issue reuse it wholesale; it is
          never persisted (cheap to rebuild, and full of closures-free but
@@ -383,7 +376,6 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
           Telemetry.incr c_state_disk;
           Ok
             {
-              incremental;
               pool;
               cache;
               configs;
@@ -552,7 +544,6 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
       in
       Ok
         {
-          incremental;
           pool;
           cache;
           configs;
@@ -567,24 +558,12 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
           delta;
         }
 
-let of_configs ?(incremental = true) ?pool ?cache configs =
-  build ~incremental ?pool ?cache configs
+let of_configs ?pool ?cache configs = build ?pool ?cache configs
 
 (* ---- shadow self-check ---- *)
 
-(* Process-wide edit sequence. Deliberately a plain atomic rather than a
-   telemetry counter: the self-check must fire even when telemetry is
-   disabled ([CONFMASK_SELFCHECK=1] alone enables it). *)
-let edit_seq = Atomic.make 0
-
-(* Compare semantically, not structurally: an incrementally patched route
-   selection may list equal routes in a different order than the scratch
-   path, and merged next-hop sets can arrive in different orders. *)
-let canon_fib fib =
-  List.map
-    (fun (r : Fib.route) ->
-      (r.rt_prefix, r.rt_proto, r.rt_metric, Fib.nexthop_names r))
-    (Fib.routes fib)
+let selfcheck = Atomic.make false
+let set_selfcheck b = Atomic.set selfcheck b
 
 let selfcheck_divergence t =
   match Simulate.run ?pool:t.pool t.configs with
@@ -594,7 +573,7 @@ let selfcheck_divergence t =
         Smap.merge
           (fun name inc ref_ ->
             match (inc, ref_) with
-            | Some a, Some b when canon_fib a = canon_fib b -> None
+            | Some a, Some b when a = b -> None
             | None, None -> None
             | _ -> Some name)
           t.fibs reference.fibs
@@ -607,27 +586,23 @@ let selfcheck_divergence t =
 
 let apply_edit t configs =
   Telemetry.incr c_edits;
-  match
-    build ~incremental:t.incremental ?pool:t.pool ?cache:t.cache ~prev:t configs
-  with
+  match build ?pool:t.pool ?cache:t.cache ~prev:t configs with
   | Error _ as e -> e
   | Ok t' as ok ->
-      let period = Telemetry.selfcheck_period () in
-      let seq = if period > 0 then Atomic.fetch_and_add edit_seq 1 + 1 else 0 in
-      if period > 0 && seq mod period = 0 then
+      if Atomic.get selfcheck then
         Telemetry.with_span "engine.selfcheck" (fun () ->
             match selfcheck_divergence t' with
             | None -> ()
             | Some msg ->
                 failwith
                   (Printf.sprintf
-                     "Engine.apply_edit self-check failed at edit %d: \
-                      incremental result diverges from Simulate.run — %s"
-                     seq msg));
+                     "Engine.apply_edit self-check failed: incremental \
+                      result diverges from Simulate.run — %s"
+                     msg));
       ok
 
-let of_configs_exn ?incremental ?pool ?cache configs =
-  match of_configs ?incremental ?pool ?cache configs with
+let of_configs_exn ?pool ?cache configs =
+  match of_configs ?pool ?cache configs with
   | Ok t -> t
   | Error m -> failwith m
 

@@ -45,11 +45,11 @@
     hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],
     [engine.bgp_disk]) and spans
     ([engine.build], [engine.domains], [engine.candidates],
-    [engine.base_fib], [engine.bgp]). When the telemetry
-    self-check period is positive ([CONFMASK_SELFCHECK], [--selfcheck]),
-    every Nth {!apply_edit} additionally shadows the incremental result
-    with a from-scratch [Simulate.run] and raises [Failure] naming the
-    divergent routers if the FIBs differ semantically. *)
+    [engine.base_fib], [engine.bgp]). With the self-check on (see
+    {!set_selfcheck}; the CLI's [--selfcheck]), every {!apply_edit}
+    additionally shadows the incremental result with a from-scratch
+    [Simulate.run] and raises [Failure] naming the routers whose FIBs
+    differ. *)
 
 module Smap = Device.Smap
 
@@ -68,16 +68,11 @@ val open_cache : string -> Netcore.Diskcache.t
     directory is treated as empty, never trusted. *)
 
 val of_configs :
-  ?incremental:bool ->
   ?pool:Netcore.Pool.t ->
   ?cache:Netcore.Diskcache.t ->
   Configlang.Ast.config list ->
   (t, string) result
-(** Compile and simulate from scratch. [incremental:false] disables all
-    cache reuse in subsequent {!apply_edit} calls — every edit then costs
-    a full re-simulation, which is the pre-engine cost model used as the
-    benchmark baseline; the persistent [cache] is ignored too, for the
-    same reason. Default [true].
+(** Compile and simulate from scratch.
 
     [cache] plugs in a persistent cross-process cache (see {!open_cache}):
     matching SPF / DV / BGP / whole-state entries are restored instead of
@@ -85,7 +80,6 @@ val of_configs :
     result is bit-identical with and without it. *)
 
 val of_configs_exn :
-  ?incremental:bool ->
   ?pool:Netcore.Pool.t ->
   ?cache:Netcore.Diskcache.t ->
   Configlang.Ast.config list ->
@@ -97,6 +91,11 @@ val apply_edit : t -> Configlang.Ast.config list -> (t, string) result
     cache passed at {!of_configs} time is carried along. *)
 
 val apply_edit_exn : t -> Configlang.Ast.config list -> t
+
+val set_selfcheck : bool -> unit
+(** Process-wide switch for the shadow self-check of {!apply_edit}
+    (default off; the CLI's [--selfcheck] turns it on). Slow: every edit
+    then also costs a full from-scratch simulation. *)
 
 val snapshot : t -> Simulate.snapshot
 
@@ -111,8 +110,6 @@ val compiled : t -> Compiled.t
     [compiled.reuse] vs [compiled.build] telemetry. *)
 
 val fibs : t -> Fib.t Smap.t
-
-val is_incremental : t -> bool
 
 val cache : t -> Netcore.Diskcache.t option
 (** The persistent cache this engine reads and writes, if any. *)
@@ -129,8 +126,8 @@ val delta : t -> string list option
     relative to the engine state the edit was applied to — the
     invalidation frontier consumers of {!apply_edit} can restrict their
     own per-router analyses to. Sorted by name. [None] after a
-    from-scratch build ({!of_configs}, a whole-state disk restore, or any
-    build with [incremental:false]): there is no previous state to diff
+    from-scratch build ({!of_configs} or a whole-state disk restore):
+    there is no previous state to diff
     against, so callers must treat every router as changed. The change
     test is structural equality of the canonical FIB representation, so
     a reported delta of [[]] really is a no-op edit. *)

@@ -55,33 +55,22 @@ val add_sorted_desc : t -> route list -> t
 val find : t -> Prefix.t -> route option
 (** Exact-prefix lookup. *)
 
+val lookup : t -> Ipv4.t -> route option
+(** Longest-prefix-match lookup by direct probing: one exact-prefix
+    search per prefix length, 33 in the worst case. The plain reference
+    {!probe_lookup} is checked against. *)
+
 type probe
-(** A point-lookup accelerator over one FIB: prefixes condensed to int
-    keys so searches compare unboxed ints. Like {!lpm}, purely an
-    acceleration structure — the FIB itself is unchanged. *)
+(** A FIB prepared for point lookups: prefixes condensed to int keys so
+    searches compare unboxed ints, plus the prefix lengths present.
+    Purely an acceleration structure — the FIB itself is unchanged. *)
 
 val probe : t -> probe
 
-val probe_find : probe -> Prefix.t -> route option
-(** Same result as {!find} on the probed FIB. *)
-
-val probe_lens : probe -> int list
-(** The distinct prefix lengths present, most specific first — the only
-    lengths a longest-prefix-match sweep needs to try. *)
-
-val lookup : t -> Ipv4.t -> route option
-(** Longest-prefix-match lookup by direct probing: one map probe per
-    prefix length, 33 in the worst case. *)
-
-type lpm
-(** A FIB compiled into a path-compressed binary trie: one root-to-leaf
-    walk per lookup. Purely an acceleration structure — [t] itself is
-    unchanged (it is marshaled and compared structurally elsewhere). *)
-
-val compile : t -> lpm
-
-val lookup_lpm : lpm -> Ipv4.t -> route option
-(** Same result as {!lookup} on the FIB the trie was compiled from. *)
+val probe_lookup : probe -> Ipv4.t -> route option
+(** Same result as {!lookup} on the probed FIB: the longest-prefix match,
+    sweeping only the prefix lengths the FIB holds, most specific first.
+    The one lookup every data-plane walk runs. *)
 
 val routes : t -> route list
 (** All routes, sorted by prefix. *)

@@ -888,13 +888,19 @@ let addr_gen =
     map2 (fun hi lo -> (hi lsl 16) lxor lo) (int_bound 0xFFFF) (int_bound 0xFFFF))
 
 let prop_lpm_equiv =
-  (* The compiled trie must answer exactly like the 33-probe map lookup,
-     including on prefix network addresses (match boundaries) and the
-     empty-FIB / default-route corners small_list covers. *)
-  QCheck2.Test.make ~name:"LPM trie = 33-probe lookup" ~count:300
+  (* The probe sweep must answer exactly like the 33-probe lookup,
+     including on prefix network addresses (match boundaries), the
+     all-zeros and all-ones addresses, and the empty-FIB corner
+     small_list covers. Half the prefixes share one anchor address, so a
+     FIB often holds a /0, a /32 and the prefixes nested between them:
+     the /0 and /32 masks are where a shift mistake would hide. *)
+  QCheck2.Test.make ~name:"probe LPM = 33-probe lookup" ~count:300
     QCheck2.Gen.(
-      pair (small_list (pair addr_gen (int_bound 32))) (small_list addr_gen))
-    (fun (pres, addrs) ->
+      addr_gen >>= fun anchor ->
+      let len = frequency [ (1, return 0); (1, return 32); (3, int_bound 32) ] in
+      let addr = frequency [ (1, return anchor); (1, addr_gen) ] in
+      triple (return anchor) (small_list (pair addr len)) (small_list addr_gen))
+    (fun (anchor, pres, addrs) ->
       let fib =
         List.fold_left
           (fun fib (a, len) ->
@@ -910,16 +916,16 @@ let prop_lpm_equiv =
               fib)
           Fib.empty pres
       in
-      let lpm = Fib.compile fib in
+      let pb = Fib.probe fib in
       let probes =
-        List.map (fun a -> Netcore.Ipv4.of_int a) addrs
+        List.map Netcore.Ipv4.of_int (anchor :: 0 :: 0xFFFFFFFF :: addrs)
         @ List.concat_map
             (fun (a, len) ->
               let p = Netcore.Prefix.v (Netcore.Ipv4.of_int a) len in
               [ Netcore.Ipv4.of_int a; Netcore.Prefix.network p ])
             pres
       in
-      List.for_all (fun a -> Fib.lookup fib a = Fib.lookup_lpm lpm a) probes)
+      List.for_all (fun a -> Fib.lookup fib a = Fib.probe_lookup pb a) probes)
 
 let prop_csr_dijkstra_equiv =
   (* The array Dijkstra on an interned CSR graph must produce the same
@@ -1139,10 +1145,10 @@ let test_engine_bgp_skip () =
   let skip = Netcore.Telemetry.counter "engine.bgp_skip" in
   let compute = Netcore.Telemetry.counter "engine.bgp_compute" in
   Netcore.Telemetry.set_enabled true;
-  Netcore.Telemetry.set_selfcheck 1;
+  Engine.set_selfcheck true;
   Fun.protect ~finally:(fun () ->
       Netcore.Telemetry.set_enabled false;
-      Netcore.Telemetry.set_selfcheck 0)
+      Engine.set_selfcheck false)
   @@ fun () ->
   let eng = Engine.of_configs_exn configs in
   let s0 = Netcore.Telemetry.value skip in
