@@ -17,10 +17,10 @@ test:
 # reuse the compiled core instead of rebuilding it; the
 # equiv.delta_routers grep proves the route-equivalence fixpoint
 # rescans engine deltas; the engine.base_fib grep keeps base-FIB
-# assembly attributed to its own span. A second run on FatTree04, whose
-# edge routers carry several hosts each, must show a nonzero FEC
-# collapse in the data-plane extractions of its functional-equivalence
-# check.
+# assembly attributed to its own span. A second run on FatTree04 must
+# build per-destination forwarding tables in the data-plane extractions
+# of its functional-equivalence check, and, having no packet filters and
+# no forwarding loops, must answer no pair by the per-pair DFS fallback.
 bench-smoke:
 	dune exec bench/main.exe -- --fast --only table2 --only fig5 --only fig6
 	rm -rf /tmp/confmask-smoke && mkdir -p /tmp/confmask-smoke
@@ -35,7 +35,8 @@ bench-smoke:
 	dune exec bin/confmask_cli.exe -- generate --net G --out /tmp/confmask-smoke/orig-g
 	dune exec bin/confmask_cli.exe -- anonymize --in /tmp/confmask-smoke/orig-g \
 	  --out /tmp/confmask-smoke/anon-g --metrics-out /tmp/confmask-smoke/metrics-g.json
-	grep -Eq '"fec\.collapsed": *[1-9]' /tmp/confmask-smoke/metrics-g.json
+	grep -Eq '"dataplane\.tables": *[1-9]' /tmp/confmask-smoke/metrics-g.json
+	grep -Eq '"dataplane\.dfs_fallback": *0,?$$' /tmp/confmask-smoke/metrics-g.json
 
 # Batch driver + persistent cache smoke: run a tiny grid with a job
 # limit (leaving one job pending), resume it to completion with warm

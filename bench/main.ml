@@ -521,13 +521,16 @@ let ext_scale () =
 
 let batch_combos = [ (2, 2); (6, 2); (10, 2); (6, 4); (6, 6) ]
 
+(* Relative to the repository root, where the bench is run from. *)
+let batch_record = "bench/history/BENCH_PR4.json"
+
 let batch_bench () =
   header
     "Batch grid timing: the fig11-14 (k_R, k_H) grid per network, cold \
      persistent cache vs a warm rerun"
     "the warm rerun restores SPF/BGP/whole-state entries from disk instead \
      of recomputing them: full simulations drop by >= 3x and wall clock \
-     follows. Results land in BENCH_PR4.json.";
+     follows. Results land in bench/history/BENCH_PR4.json.";
   let full_sims stats =
     (* Everything the disk cache can spare: full SPF preparations, BGP
        fixpoints and DV recomputations. *)
@@ -587,7 +590,7 @@ let batch_bench () =
         row)
       (ids ())
   in
-  let out = open_out "BENCH_PR4.json" in
+  let out = open_out batch_record in
   Printf.fprintf out
     "{\n  \"experiment\": \"confmask batch grid seconds per network, cold \
      persistent cache vs warm rerun, with full-simulation and disk-hit \
@@ -618,7 +621,7 @@ let batch_bench () =
     \  \"total_speedup\": %.2f\n}\n"
     cold_t warm_t (cold_t /. warm_t);
   close_out out;
-  Printf.printf "[wrote BENCH_PR4.json]\n"
+  Printf.printf "[wrote %s]\n" batch_record
 
 (* ---------------- driver ---------------- *)
 

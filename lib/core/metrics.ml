@@ -10,6 +10,12 @@ module Pmap = Map.Make (struct
   let compare = compare
 end)
 
+module Rset = Set.Make (struct
+  type t = string list
+
+  let compare = compare
+end)
+
 let route_anonymity dp =
   (* Router sequence of each delivered path, grouped by (ingress, egress). *)
   let groups =
@@ -17,29 +23,19 @@ let route_anonymity dp =
       (fun acc (_, paths) ->
         List.fold_left
           (fun acc path ->
-            match path with
-            | _ :: (_ :: _ as routers_and_dst) ->
-                let routers =
-                  List.filteri
-                    (fun i _ -> i < List.length routers_and_dst - 1)
-                    routers_and_dst
-                in
-                (match routers with
-                | [] -> acc
-                | first :: _ ->
-                    let last = List.nth routers (List.length routers - 1) in
-                    Pmap.update (first, last)
-                      (fun existing ->
-                        let set = Option.value ~default:[] existing in
-                        if List.mem routers set then Some set
-                        else Some (routers :: set))
-                      acc)
-            | _ -> acc)
+            match Spec.Query.interior path with
+            | [] -> acc
+            | first :: rest as routers ->
+                let last = List.fold_left (fun _ r -> r) first rest in
+                Pmap.update (first, last)
+                  (fun set ->
+                    Some (Rset.add routers (Option.value ~default:Rset.empty set)))
+                  acc)
           acc paths)
       Pmap.empty
       (Routing.Dataplane.all_delivered dp)
   in
-  let counts = Pmap.fold (fun _ set acc -> List.length set :: acc) groups [] in
+  let counts = Pmap.fold (fun _ set acc -> Rset.cardinal set :: acc) groups [] in
   match counts with
   | [] -> { nr_avg = 0.0; nr_min = 0; nr_pairs = 0 }
   | _ ->

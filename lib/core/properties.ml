@@ -14,9 +14,6 @@ let to_string = function
   | Waypointed (s, d, w) -> Printf.sprintf "waypoint(%s, %s, %s)" s d w
   | Routing_loop (s, d) -> Printf.sprintf "routing-loop(%s, %s)" s d
 
-let interior p =
-  List.filteri (fun i _ -> i > 0 && i < List.length p - 1) p
-
 let of_trace (s, d) (t : Routing.Dataplane.trace) =
   let lossy = t.dropped <> [] || t.filtered <> [] in
   let reach = if t.delivered <> [] then [ Reachable (s, d) ] else [] in
@@ -30,12 +27,7 @@ let of_trace (s, d) (t : Routing.Dataplane.trace) =
     if t.delivered <> [] && lossy then [ Multipath_inconsistent (s, d) ] else []
   in
   let waypoints =
-    match List.map interior t.delivered with
-    | [] -> []
-    | first :: others ->
-        List.filter (fun w -> List.for_all (List.mem w) others) first
-        |> List.sort_uniq String.compare
-        |> List.map (fun w -> Waypointed (s, d, w))
+    List.map (fun w -> Waypointed (s, d, w)) (Spec.Query.common_waypoints t.delivered)
   in
   let loops = if t.looped <> [] then [ Routing_loop (s, d) ] else [] in
   reach @ lengths @ black_hole @ inconsistent @ waypoints @ loops
@@ -46,9 +38,15 @@ let mine ?hosts dp =
     | None -> fun _ -> true
     | Some hs -> fun (s, d) -> List.mem s hs && List.mem d hs
   in
-  Hashtbl.fold
-    (fun pair trace acc -> if keep pair then of_trace pair trace @ acc else acc)
-    dp.Routing.Dataplane.pairs []
+  let hosts = Routing.Dataplane.hosts dp in
+  List.concat_map
+    (fun src ->
+      List.concat_map
+        (fun dst ->
+          if String.equal src dst || not (keep (src, dst)) then []
+          else of_trace (src, dst) (Routing.Dataplane.trace dp ~src ~dst))
+        hosts)
+    hosts
   |> List.sort_uniq compare
 
 type diff = { kept : t list; lost : t list; gained : t list }

@@ -17,12 +17,27 @@ let fail fmt = Printf.ksprintf (fun m -> Fail m) fmt
 
 (* -------------------- differential FIB -------------------- *)
 
-let traces_equal (a : Routing.Dataplane.t) (b : Routing.Dataplane.t) =
-  Hashtbl.length a.pairs = Hashtbl.length b.pairs
-  && Hashtbl.fold
-       (fun k (t : Routing.Dataplane.trace) acc ->
-         acc && Hashtbl.find_opt b.pairs k = Some t)
-       a.pairs true
+let dataplane_divergence (dp : Routing.Dataplane.t) per_pair =
+  let module D = Routing.Dataplane in
+  let waypoints = D.waypoints dp and all = D.first_paths dp max_int in
+  let hosts = D.hosts dp in
+  List.find_map
+    (fun src ->
+      List.find_map
+        (fun dst ->
+          let t = D.trace per_pair ~src ~dst in
+          let differs what = Some (Printf.sprintf "%s of %s -> %s" what src dst) in
+          if D.trace dp ~src ~dst <> t then differs "trace"
+          else if t.truncated then None
+          else if D.path_count dp ~src ~dst <> List.length t.delivered then
+            differs "path count"
+          else if all ~avoid:None ~src ~dst <> t.delivered then
+            differs "enumerated paths"
+          else if waypoints ~src ~dst <> D.common_waypoints t.delivered then
+            differs "waypoints"
+          else None)
+        hosts)
+    hosts
 
 (* OSPF selection recomputed from forward distances, per IGP domain. The
    fast path combines reverse per-advertiser Dijkstra fields into
@@ -160,8 +175,7 @@ let ospf_crosscheck (net : Routing.Device.network) =
 (* The fast paths of one simulation against their references: the
    per-router probe LPM against [Fib.lookup] on every host address, OSPF
    selection against the forward-distance cross-check, and the
-   FEC-collapsed data plane against the per-pair extraction, trace for
-   trace. *)
+   data plane's forwarding tables against the per-pair extraction. *)
 let kernel_divergence (snap : Routing.Simulate.snapshot) =
   let addrs =
     Smap.fold
@@ -186,9 +200,9 @@ let kernel_divergence (snap : Routing.Simulate.snapshot) =
           Routing.Dataplane.extract_per_pair ~compiled:snap.compiled snap.net
             snap.fibs
         in
-        if not (traces_equal (Routing.Simulate.dataplane snap) per_pair) then
-          Some "FEC-collapsed vs per-pair extraction"
-        else None
+        Option.map
+          (fun d -> "data plane vs per-pair extraction: " ^ d)
+          (dataplane_divergence (Routing.Simulate.dataplane snap) per_pair)
 
 (* Routers whose FIB differs between two simulations, sorted by name —
    what [Engine.delta] must report for the edit between them. *)
@@ -341,8 +355,9 @@ let diff_fib =
     name = "diff_fib";
     doc =
       "engine vs from-scratch vs pool-parallel (jobs 1 and 4) FIBs, probe \
-       LPM vs Fib.lookup, OSPF forward-distance cross-check, FEC-collapsed \
-       vs per-pair extraction, with an edit walk checking the engine delta";
+       LPM vs Fib.lookup, OSPF forward-distance cross-check, forwarding \
+       DAGs vs per-pair extraction, with an edit walk checking the engine \
+       delta";
     check = diff_fib_check;
   }
 

@@ -11,9 +11,10 @@
       {!Netcore.Pool}, incremental {!Routing.Engine} vs from-scratch
       {!Routing.Simulate}, and each fast path against its explicit
       reference — {!Routing.Fib.probe_lookup} vs [Fib.lookup], OSPF
-      selection vs {!ospf_crosscheck}, FEC-collapsed vs per-pair data-plane
-      extraction — including a short random edit walk re-checked after
-      every step against a fresh simulation, with {!Routing.Engine.delta}
+      selection vs {!ospf_crosscheck}, the data plane's forwarding tables
+      vs the per-pair extraction ({!dataplane_divergence}) — including a
+      short random edit walk re-checked after every step against a
+      fresh simulation, with {!Routing.Engine.delta}
       required to be exactly the routers whose fresh FIB changed (the
       invariant both incremental anonymization fixpoints rest on);
     - [workflow] — anonymization invariants after {!Confmask.Workflow}:
@@ -71,6 +72,16 @@ val ospf_crosscheck : Routing.Device.network -> string option
     adjacencies [a] of [r] with [cost(a) + D(a.to)] equal to that metric,
     and every router with such a next hop must have the route. [None]
     when everything agrees, else a description of the mismatch. *)
+
+val dataplane_divergence :
+  Routing.Dataplane.t -> Routing.Dataplane.t -> string option
+(** [dataplane_divergence dp per_pair] compares an extracted data plane
+    with the per-pair reference ({!Routing.Dataplane.extract_per_pair})
+    over every ordered pair of [dp]'s hosts: the full traces must be
+    equal and, where the reference's trace is not truncated, the path
+    count, the enumeration of every path and the common waypoints must
+    match its delivered list. [None] when everything agrees, else the
+    first mismatch. *)
 
 val find : string -> (t, string) result
 (** Lookup by name; the error lists the valid names. *)

@@ -6,35 +6,23 @@ let canonical = Attack.canonical_edge
 
 exception Covered
 
-(* Members of a class pair cross the same router links as its
-   representative (they differ only in the end hosts), and shortcut pairs
-   cross none, so the representatives' delivered paths cover every used
-   link. The scan stops as soon as every link is covered: from then on
-   nothing can be flagged. *)
+(* The scan stops as soon as every link is covered: from then on nothing
+   can be flagged. *)
 let no_traffic_links (snap : Routing.Simulate.snapshot) (dp : Routing.Dataplane.t) =
   let links = Graph.edges (Routing.Device.router_graph snap.net) in
   let used = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace used e false) links;
   let uncovered = ref (Hashtbl.length used) in
-  let rec cover = function
-    | u :: (v :: _ as rest) ->
-        let e = canonical (u, v) in
-        if Hashtbl.find_opt used e = Some false then begin
-          Hashtbl.replace used e true;
-          decr uncovered;
-          if !uncovered = 0 then raise Covered
-        end;
-        cover rest
-    | _ -> ()
+  let cover u v =
+    let e = canonical (u, v) in
+    if Hashtbl.find_opt used e = Some false then begin
+      Hashtbl.replace used e true;
+      decr uncovered;
+      if !uncovered = 0 then raise Covered
+    end
   in
   (if !uncovered > 0 then
-     try
-       List.iter
-         (fun (cp : Routing.Dataplane.class_pair) ->
-           let src, dst = cp.rep in
-           List.iter cover (Routing.Dataplane.paths dp ~src ~dst))
-         dp.class_pairs
-     with Covered -> ());
+     try Routing.Dataplane.iter_hops dp cover with Covered -> ());
   List.filter (fun e -> not (Hashtbl.find used e)) links
 
 (* Deny sets per attachment point, as printable prefix strings so sets can

@@ -9,10 +9,9 @@
 val no_traffic_links :
   Routing.Simulate.snapshot -> Routing.Dataplane.t -> (string * string) list
 (** Router links of the snapshot that no delivered path of its data plane
-    crosses, canonical, in {!Netcore.Graph.edges} order. Walks the
-    representative of each class pair only, and stops as soon as every
-    link is covered; on a per-pair data plane
-    ({!Routing.Dataplane.extract_per_pair}) it walks every pair. *)
+    crosses, canonical, in {!Netcore.Graph.edges} order: the hops
+    {!Routing.Dataplane.iter_hops} reports, read until every link is
+    covered. *)
 
 val filter_links :
   ?min_prefixes:int ->

@@ -14,9 +14,8 @@ type trace = {
 let max_paths_default = 4096
 
 let c_extractions = Netcore.Telemetry.counter "dataplane.extractions"
-let c_classes = Netcore.Telemetry.counter "fec.classes"
-let c_collapsed = Netcore.Telemetry.counter "fec.collapsed"
-let c_traced = Netcore.Telemetry.counter "fec.traced"
+let c_tables = Netcore.Telemetry.counter "dataplane.tables"
+let c_fallback = Netcore.Telemetry.counter "dataplane.dfs_fallback"
 
 let acl_permits acl ~src ~dst =
   match acl with
@@ -25,7 +24,8 @@ let acl_permits acl ~src ~dst =
 
 (* The per-hop lookups every walk runs on: the interface and arrival
    tables of a [Compiled.t], and each router's FIB probed for
-   longest-prefix match. *)
+   longest-prefix match. Every FIB is probed up front, so the tables are
+   read-only and one extraction's tasks may share them across domains. *)
 type lookups = {
   lk_iface : string -> string -> Device.iface option;
       (* router -> out-interface name -> interface *)
@@ -36,29 +36,12 @@ type lookups = {
 }
 
 let lookups c fibs =
-  (* The slot table is complete before any walk runs and read-only after,
-     since one extraction's walks run on several domains. Each router's
-     FIB is probed on its first lookup; two domains racing on one slot
-     compute equal probes, and either may be kept. *)
-  let slots = Hashtbl.create 256 in
-  Smap.iter
-    (fun name fib -> Hashtbl.replace slots name (fib, Atomic.make None))
-    fibs;
-  let lk_probe r =
-    match Hashtbl.find_opt slots r with
-    | None -> None
-    | Some (fib, slot) -> (
-        match Atomic.get slot with
-        | Some _ as pb -> pb
-        | None ->
-            let pb = Some (Fib.probe fib) in
-            Atomic.set slot pb;
-            pb)
-  in
+  let probes = Hashtbl.create 256 in
+  Smap.iter (fun name fib -> Hashtbl.replace probes name (Fib.probe fib)) fibs;
   {
     lk_iface = Compiled.find_iface c;
     lk_arrival = Compiled.arrival_iface c;
-    lk_probe;
+    lk_probe = Hashtbl.find_opt probes;
   }
 
 let lookup_route lk router addr =
@@ -76,7 +59,6 @@ type host_info = {
   hi_prefix : Netcore.Prefix.t;
   hi_starts : (string * Device.iface) list;
   hi_datts : (string * Device.iface) list;
-  hi_drouters : string list;
 }
 
 let host_info (net : Device.network) name =
@@ -92,7 +74,6 @@ let host_info (net : Device.network) name =
         hi_prefix = Device.host_prefix h;
         hi_starts = List.sort_uniq compare atts;
         hi_datts = atts;
-        hi_drouters = List.map fst atts;
       }
 
 (* The walk itself: a DFS over the ECMP branching in next-hop list
@@ -115,7 +96,6 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
   else begin
     let lk = Lazy.force lk in
     let dst_attachments = di.hi_datts in
-    let dst_routers = di.hi_drouters in
     let delivered = ref [] and dropped = ref [] and filtered = ref [] in
     let looped = ref [] in
     let count = ref 0 in
@@ -127,7 +107,7 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
       else if
         not (permits (Option.bind arrival (fun i -> i.Device.ifc_acl_in)))
       then filtered := (src :: List.rev (router :: rev)) :: !filtered
-      else if List.mem router dst_routers then begin
+      else if List.mem_assoc router dst_attachments then begin
         (* Delivery: the outbound filter of the host-facing interface. *)
         let out_acl =
           List.assoc_opt router dst_attachments
@@ -182,56 +162,171 @@ let traceroute ?max_paths (net : Device.network) fibs ~src ~dst =
     (lazy (lookups (Compiled.build net) fibs))
     net ~src ~dst
 
-type class_pair = { rep : string * string; members : (string * string) list }
+let empty_trace =
+  { delivered = []; dropped = []; filtered = []; looped = []; truncated = false }
 
-type t = {
-  pairs : (string * string, trace) Hashtbl.t;
-  host_class : (string, int) Hashtbl.t;
-  class_pairs : class_pair list;
-  shortcuts : (string * string, unit) Hashtbl.t;
+(* ---- path lists: the plain references ---- *)
+
+let interior = function
+  | [] -> []
+  | _ :: rest ->
+      let rec drop_last = function
+        | [] | [ _ ] -> []
+        | x :: tl -> x :: drop_last tl
+      in
+      drop_last rest
+
+(* Whether [w] is an interior hop of [path], without building the
+   interior. *)
+let on_interior w = function
+  | [] -> false
+  | _ :: rest ->
+      let rec go = function
+        | x :: (_ :: _ as tl) -> String.equal x w || go tl
+        | _ -> false
+      in
+      go rest
+
+let common_waypoints = function
+  | [] -> []
+  | first :: others ->
+      List.fold_left
+        (fun cands p ->
+          let on w = on_interior w p in
+          if List.for_all on cands then cands else List.filter on cands)
+        (interior first) others
+      |> List.sort_uniq String.compare
+
+(* ---- per-destination forwarding DAGs ----
+
+   Toward one destination, a router's forwarding decision does not
+   depend on how the packet reached it: the walk reads the router's FIB
+   answer for the destination address, and filters that see only the
+   two host addresses. So the delivered paths of every source are the
+   walks of one graph per destination — each router's next-hop set, with
+   the edges an ACL denies removed — and a pair's path set is the set of
+   walks from its start routers to a router the destination attaches
+   to. Packet filters also read the source address, so on a network
+   with ACLs there is one graph per destination and class of sources
+   that every rule's source prefix treats alike.
+
+   Tables store, per router index, the number of delivered paths below
+   it and the children that deliver any. Router indices follow name
+   order, so walking children in index order enumerates paths in the
+   order [List.sort_uniq compare] gives them, and deduplicating children
+   by router collapses parallel links the way the per-pair walk's final
+   sort does. A FIB cycle reachable from a start router makes the walk's
+   simple-path semantics diverge from the graph's; those pairs keep the
+   DFS trace. *)
+
+let unvisited = -1
+let visiting = -2
+let cyclic = -3
+
+type table = {
+  tb_id : int;  (* unique within its data plane *)
+  tb_dst : string;  (* the destination host *)
+  tb_count : int array;
+      (* per router: delivered paths below it (saturating), 0 for none,
+         [cyclic] when a forwarding cycle is reachable from it *)
+  tb_next : int array array;
+      (* per router: the children with a positive count, ascending; [||]
+         where the router delivers *)
 }
 
-(* ---- forwarding-equivalence classes ----
+type host = {
+  ho_info : host_info;
+  ho_class : int;  (* the source's ACL class: which table it walks *)
+  ho_starts : (int * Device.iface) list;  (* [hi_starts], router indices *)
+}
 
-   Two hosts are forwarding-equivalent when every walk either of them
-   takes part in — as source or destination, against any fixed other
-   endpoint — behaves identically hop for hop. The walk consults a host
-   only through:
+type t = {
+  max_paths : int;
+  lk : lookups;
+  names : string array;  (* router ids of the compiled core: by name *)
+  hosts : host array;  (* ascending by name *)
+  host_index : (string, int) Hashtbl.t;
+  tables : table array array;
+      (* [tables.(d).(c)]: toward host [d], for sources of ACL class [c] *)
+  acls : bool;  (* whether start interfaces must be checked per pair *)
+  traced : (string * string, trace) Hashtbl.t;
+      (* pairs answered by a stored trace instead of a table *)
+  host_names : string list;
+}
 
-   - its sorted start attachments, and of each start interface only the
-     inbound ACL (projected per rule to how it treats this host's
-     address as source);
-   - its raw destination attachments — the delivery routers and each
-     interface's outbound ACL projected per rule against this host's
-     address as destination;
-   - per-rule membership of the host's address in every ACL the network
-     can evaluate mid-path (source- and destination-side);
-   - the FIB answer of every router for the host's address, projected to
-     the next-hop list (prefix and metric are never read by a walk).
+let add_sat a b = if a > max_int - b then max_int else a + b
 
-   Hosts with equal signatures are interchangeable modulo the host names
-   at a path's endpoints, so one representative trace per ordered class
-   pair plus head/tail renaming reproduces the per-pair extraction
-   ([extract_per_pair]) exactly.
-   The host's own prefix is deliberately not part of the signature: the
-   same-subnet short-circuit is evaluated per pair, and representatives
-   are chosen among pairs that do not short-circuit. *)
+let build_table ~id lk ~acls ~index ~names ~roots ~src_addr (di : host_info) =
+  let n = Array.length names in
+  let count = Array.make n unvisited and next = Array.make n [||] in
+  let dst_addr = di.hi_host.h_addr in
+  let permits acl = acl_permits acl ~src:src_addr ~dst:dst_addr in
+  (* The index of the router [nh] leads to, unless a filter on the way
+     denies the packet or the router is unknown (no FIB, so a drop). *)
+  let child r (nh : Fib.nexthop) =
+    let passes () =
+      (match lk.lk_iface r nh.nh_iface with
+      | Some out -> permits out.ifc_acl_out
+      | None -> true)
+      && permits
+           (Option.bind
+              (lk.lk_arrival r nh.nh_iface nh.nh_router)
+              (fun i -> i.Device.ifc_acl_in))
+    in
+    if (not acls) || passes () then index nh.nh_router else None
+  in
+  let rec visit i =
+    if count.(i) = unvisited then begin
+      count.(i) <- visiting;
+      let r = names.(i) in
+      match List.assoc_opt r di.hi_datts with
+      | Some iface -> count.(i) <- (if permits iface.ifc_acl_out then 1 else 0)
+      | None -> (
+          match lookup_route lk r dst_addr with
+          | None | Some { Fib.rt_nexthops = []; _ } -> count.(i) <- 0
+          | Some route ->
+              let kids =
+                List.sort_uniq Int.compare
+                  (List.filter_map (child r) route.rt_nexthops)
+              in
+              List.iter visit kids;
+              if List.exists (fun k -> count.(k) < 0) kids then count.(i) <- cyclic
+              else
+                let kids = List.filter (fun k -> count.(k) > 0) kids in
+                count.(i) <- List.fold_left (fun a k -> add_sat a count.(k)) 0 kids;
+                next.(i) <- Array.of_list kids)
+    end
+  in
+  List.iter visit roots;
+  { tb_id = id; tb_dst = di.hi_name; tb_count = count; tb_next = next }
 
-let proj_acl addr side (acl : Configlang.Ast.acl option) =
-  Option.map
+(* A source's start routers toward [d], deduplicated: those whose
+   host-facing inbound filter admits the packet. *)
+let starts ~acls (s : host) (d : host) =
+  let admits (_, (i : Device.iface)) =
+    (not acls)
+    || acl_permits i.ifc_acl_in ~src:s.ho_info.hi_host.h_addr
+         ~dst:d.ho_info.hi_host.h_addr
+  in
+  let rec dedup = function
+    | a :: (b :: _ as tl) when a = b -> dedup tl
+    | a :: tl -> a :: dedup tl
+    | [] -> []
+  in
+  dedup (List.map fst (List.filter admits s.ho_starts))
+
+(* How every rule's source prefix treats an address: sources with equal
+   signatures see every filter decide alike toward any destination. *)
+let source_signature acls addr =
+  List.map
     (fun (a : Configlang.Ast.acl) ->
       List.map
         (fun (r : Configlang.Ast.acl_rule) ->
-          let mem p =
-            match p with
-            | None -> true
-            | Some p -> Netcore.Prefix.mem addr p
-          in
-          match side with
-          | `Src -> (mem r.acl_src, r.acl_dst, r.acl_action)
-          | `Dst -> (mem r.acl_dst, r.acl_src, r.acl_action))
+          match r.acl_src with
+          | None -> true
+          | Some p -> Netcore.Prefix.mem addr p)
         a.acl_rules)
-    acl
+    acls
 
 (* Every ACL the walks can evaluate, in a canonical order (router ifaces
    in map order, inbound then outbound, then attachment ifaces). *)
@@ -252,454 +347,119 @@ let enumerate_acls (net : Device.network) =
     net.attachments acc
   |> List.rev
 
-(* Signatures are compared structurally as hash-table keys; the
-   per-router route projections are interned to small ints first (shared
-   across the extraction's hosts), so comparing and hashing a signature
-   never walks next-hop records. *)
-let route_interner () =
-  let tbl : (Fib.nexthop list option, int) Hashtbl.t = Hashtbl.create 256 in
-  fun proj ->
-    match Hashtbl.find_opt tbl proj with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length tbl in
-        Hashtbl.add tbl proj i;
-        i
-
-let host_signature acls ~routes (hi : host_info) =
-  let addr = hi.hi_host.h_addr in
-  let starts =
-    List.map (fun (r, i) -> (r, proj_acl addr `Src i.Device.ifc_acl_in)) hi.hi_starts
-  in
-  let datts =
-    List.map (fun (r, i) -> (r, proj_acl addr `Dst i.Device.ifc_acl_out)) hi.hi_datts
-  in
-  let memberships =
-    List.map
-      (fun (a : Configlang.Ast.acl) ->
-        List.map
-          (fun (r : Configlang.Ast.acl_rule) ->
-            ( (match r.acl_src with
-              | None -> true
-              | Some p -> Netcore.Prefix.mem addr p),
-              match r.acl_dst with
-              | None -> true
-              | Some p -> Netcore.Prefix.mem addr p ))
-          a.acl_rules)
-      acls
-  in
-  (starts, datts, memberships, routes)
-
-(* ---- per-destination memoized suffix walks ----
-
-   When the network carries no packet filters at all, every [permits]
-   check of a walk is vacuous and the walk's behavior below a router
-   depends only on the destination: the trace from a start router is the
-   set of forwarding paths of the destination's FIB DAG. Those suffixes
-   are computed once per destination and shared by every source — tail
-   sharing included, which is safe because traces are only ever read
-   structurally. A FIB cycle or a path count at the truncation limit
-   makes the memo unusable for that destination or pair; callers fall
-   back to the exact DFS. *)
-
-let no_acls (net : Device.network) =
-  let iface_clear (i : Device.iface) =
-    i.ifc_acl_in = None && i.ifc_acl_out = None
-  in
-  Smap.for_all
-    (fun _ (r : Device.router) -> List.for_all iface_clear r.r_ifaces)
-    net.routers
-  && Smap.for_all
-       (fun _ atts -> List.for_all (fun (_, i) -> iface_clear i) atts)
-       net.attachments
-
-exception Cyclic
-
-type memo_node = {
-  mn_deliv : int;  (* delivered-path count, saturated at cap + 1 *)
-  mn_drop : int;   (* dropped-path count, saturated at cap + 1 *)
-  mn_deliv_paths : path list Lazy.t;
-      (* sorted, deduplicated suffixes ending in the dst host *)
-  mn_drop_paths : path list Lazy.t;  (* sorted, deduplicated *)
-}
-
-(* Merge two sorted duplicate-free lists, dropping duplicates — the same
-   order [List.sort_uniq compare] produces. *)
-let rec merge_uniq a b =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | x :: xs, y :: ys ->
-      let c = compare x y in
-      if c < 0 then x :: merge_uniq xs b
-      else if c > 0 then y :: merge_uniq a ys
-      else x :: merge_uniq xs ys
-
-(* Balanced pairwise merging — a left fold over high-ECMP fan-in is
-   quadratic. [merge_uniq] is associative and commutative up to the
-   dedup, so the pairing order cannot change the result. *)
-let merge_lists ls =
-  let rec pairs = function
-    | a :: b :: tl -> merge_uniq a b :: pairs tl
-    | l -> l
-  in
-  let rec go = function [] -> [] | [ x ] -> x | ls -> go (pairs ls) in
-  go ls
-
-(* Lazy per-router suffix table toward one destination. The counts are
-   computed eagerly on first touch (detecting cycles on the way); the
-   path lists only materialize for routers whose counts stay under the
-   cap, so ECMP blow-ups cost integers, not lists. Each list is kept
-   sorted and duplicate-free: merging children preserves that, and so
-   does prepending the router (or later the source host) to every
-   element, so assembling a pair's trace needs no sorting at all. *)
-let dest_memo (lk : lookups) (di : host_info) ~cap =
-  let dst = di.hi_name and dst_addr = di.hi_host.h_addr in
-  let tbl : (string, memo_node) Hashtbl.t = Hashtbl.create 64 in
-  let visiting : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let sat a b = if a + b > cap then cap + 1 else a + b in
-  let rec node r =
-    match Hashtbl.find_opt tbl r with
-    | Some n -> n
-    | None ->
-        if Hashtbl.mem visiting r then raise Cyclic;
-        Hashtbl.add visiting r ();
-        let n =
-          if List.mem r di.hi_drouters then
-            {
-              mn_deliv = 1;
-              mn_drop = 0;
-              mn_deliv_paths = lazy [ [ r; dst ] ];
-              mn_drop_paths = lazy [];
-            }
-          else
-            match lookup_route lk r dst_addr with
-            | None | Some { Fib.rt_nexthops = []; _ } ->
-                {
-                  mn_deliv = 0;
-                  mn_drop = 1;
-                  mn_deliv_paths = lazy [];
-                  mn_drop_paths = lazy [ [ r ] ];
-                }
-            | Some route ->
-                let children =
-                  List.map
-                    (fun (nh : Fib.nexthop) -> node nh.nh_router)
-                    route.rt_nexthops
-                in
-                let extend f =
-                  lazy
-                    (List.map
-                       (fun p -> r :: p)
-                       (merge_lists
-                          (List.map (fun c -> Lazy.force (f c)) children)))
-                in
-                {
-                  mn_deliv =
-                    List.fold_left (fun a c -> sat a c.mn_deliv) 0 children;
-                  mn_drop =
-                    List.fold_left (fun a c -> sat a c.mn_drop) 0 children;
-                  mn_deliv_paths = extend (fun c -> c.mn_deliv_paths);
-                  mn_drop_paths = extend (fun c -> c.mn_drop_paths);
-                }
-        in
-        Hashtbl.remove visiting r;
-        Hashtbl.add tbl r n;
-        n
-  in
-  node
-
-(* Assemble one pair's trace from the destination memo, or [None] when
-   the DFS must run instead (cycle below a start router, or enough paths
-   that the DFS would truncate). Exactness: with no filters, [filtered]
-   and (acyclic) [looped] are empty, the DFS never truncates below the
-   cap, and its final [sort_uniq] makes traversal order irrelevant. *)
-let memo_trace node ~cap ~(si : host_info) =
-  match
-    List.fold_left
-      (fun acc (r, _) ->
-        match acc with
-        | None -> None
-        | Some (nodes, d, x) ->
-            let n = node r in
-            Some (n :: nodes, d + n.mn_deliv, x + n.mn_drop))
-      (Some ([], 0, 0))
-      si.hi_starts
-  with
-  | exception Cyclic -> None
-  | None -> None
-  | Some (_, deliv, _) when deliv >= cap -> None
-  | Some (nodes, _, _) ->
-      let src = si.hi_name in
-      let assemble f =
-        List.map
-          (fun sfx -> src :: sfx)
-          (merge_lists (List.map (fun n -> Lazy.force (f n)) nodes))
-      in
-      Some
-        {
-          delivered = assemble (fun n -> n.mn_deliv_paths);
-          dropped = assemble (fun n -> n.mn_drop_paths);
-          filtered = [];
-          looped = [];
-          truncated = false;
-        }
-
-(* Rename a representative trace onto another member pair of the same
-   ordered class pair: heads become the new source, and delivered paths
-   additionally end in the new destination. Renaming can reorder a
-   sorted list (paths differ only past the renamed cells), hence the
-   re-[sort_uniq]; it cannot merge two paths, since equal renamed paths
-   would already have been equal. *)
-let rename_trace ~src ~dst (t : trace) =
-  let head = function [] -> [] | _ :: tl -> src :: tl in
-  let rec tail = function
-    | [] -> []
-    | [ _ ] -> [ dst ]
-    | x :: tl -> x :: tail tl
-  in
-  let both = function [] -> [] | _ :: tl -> src :: tail tl in
-  {
-    delivered = List.sort_uniq compare (List.map both t.delivered);
-    dropped = List.sort_uniq compare (List.map head t.dropped);
-    filtered = List.sort_uniq compare (List.map head t.filtered);
-    looped = List.sort_uniq compare (List.map head t.looped);
-    truncated = t.truncated;
-  }
-
-let shortcut_trace src dst =
-  {
-    delivered = [ [ src; dst ] ];
-    dropped = [];
-    filtered = [];
-    looped = [];
-    truncated = false;
-  }
-
-(* FEC-collapsed extraction: classify hosts, trace one representative
-   member pair per ordered class pair, rename onto the other members.
-   The table is populated in the same source-major canonical order as
-   the per-pair extraction, with the same keys, so every [Hashtbl.fold]
-   consumer sees an identical iteration sequence. *)
-let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
+let extract ?(max_paths = max_paths_default) ~compiled (net : Device.network)
     fibs =
-  let memo_ok = no_acls net in
-  let lk = lookups c fibs in
-  let infos = List.map (fun (n, _) -> host_info net n) (Smap.bindings net.hosts) in
-  let acls = enumerate_acls net in
-  (* Class index per host, in first-seen (canonical host) order. *)
-  let class_of = Hashtbl.create 64 in
-  let sig_class = Hashtbl.create 64 in
-  let n_classes = ref 0 in
-  let route_id = route_interner () in
-  (* The per-router FIB projections of every host, computed
-     router-outer so each FIB is resolved and probed once for all
-     hosts (instead of one string-keyed lookup per (host, router)
-     cell). Consing in ascending router order leaves each host's
-     list in descending order — any fixed order works, signatures
-     are only compared against each other. *)
-  let infos_arr = Array.of_list infos in
-  let nh = Array.length infos_arr in
-  let route_lists = Array.make nh [] in
-  Smap.iter
-    (fun name _ ->
-      let pb = lk.lk_probe name in
-      for h = 0 to nh - 1 do
-        let proj =
-          match pb with
-          | None -> None
-          | Some pb -> (
-              match Fib.probe_lookup pb infos_arr.(h).hi_host.h_addr with
-              | None -> None
-              | Some route -> Some route.Fib.rt_nexthops)
-        in
-        route_lists.(h) <- route_id proj :: route_lists.(h)
-      done)
-    net.routers;
-  Array.iteri
-    (fun h hi ->
-      let s = host_signature acls ~routes:route_lists.(h) hi in
-      let cls =
-        match Hashtbl.find_opt sig_class s with
-        | Some i -> i
-        | None ->
-            let i = !n_classes in
-            incr n_classes;
-            Hashtbl.add sig_class s i;
-            i
-      in
-      Hashtbl.replace class_of hi.hi_name cls)
-    infos_arr;
-  Netcore.Telemetry.add c_classes !n_classes;
-  (* One representative member pair per ordered class pair: the first
-     pair in canonical order that does not same-subnet short-circuit. *)
-  let reps = Hashtbl.create 64 in
-  let rep_order = ref [] in
-  let differing = ref 0 in
-  List.iter
-    (fun si ->
-      List.iter
-        (fun di ->
-          if
-            (not (String.equal si.hi_name di.hi_name))
-            && not (Netcore.Prefix.equal si.hi_prefix di.hi_prefix)
-          then begin
-            incr differing;
-            let key =
-              (Hashtbl.find class_of si.hi_name, Hashtbl.find class_of di.hi_name)
-            in
-            if not (Hashtbl.mem reps key) then begin
-              Hashtbl.add reps key (si, di);
-              rep_order := (key, si, di) :: !rep_order
-            end
-          end)
-        infos)
-    infos;
-  let rep_list = List.rev !rep_order in
-  Netcore.Telemetry.add c_traced (List.length rep_list);
-  Netcore.Telemetry.add c_collapsed (!differing - List.length rep_list);
-  (* Trace the representatives destination-major so each destination's
-     suffix memo (when eligible) is built once and shared. *)
-  let by_dst = Hashtbl.create 64 in
-  let dst_order = ref [] in
-  List.iter
-    (fun (key, si, di) ->
-      match Hashtbl.find_opt by_dst di.hi_name with
-      | Some l -> l := (key, si, di) :: !l
-      | None ->
-          let l = ref [ (key, si, di) ] in
-          Hashtbl.add by_dst di.hi_name l;
-          dst_order := di.hi_name :: !dst_order)
-    rep_list;
-  let groups =
-    List.rev_map (fun d -> List.rev !(Hashtbl.find by_dst d)) !dst_order
+  let lk = lookups compiled fibs in
+  let routers = Compiled.routers compiled in
+  let names = Array.init (Netcore.Interner.length routers) (Netcore.Interner.name routers) in
+  let index = Netcore.Interner.find routers in
+  let acl_list = enumerate_acls net in
+  let acls = acl_list <> [] in
+  (* ACL classes in first-seen host order, each with the address of its
+     first member to evaluate filters with. *)
+  let classes = Hashtbl.create 8 and reps = ref [] in
+  let hosts =
+    Smap.bindings net.hosts
+    |> List.map (fun (name, _) ->
+           let hi = host_info net name in
+           let signature = source_signature acl_list hi.hi_host.h_addr in
+           let ho_class =
+             match Hashtbl.find_opt classes signature with
+             | Some c -> c
+             | None ->
+                 let c = Hashtbl.length classes in
+                 Hashtbl.add classes signature c;
+                 reps := hi.hi_host.h_addr :: !reps;
+                 c
+           in
+           let ho_starts =
+             List.map (fun (r, i) -> (Option.get (index r), i)) hi.hi_starts
+           in
+           { ho_info = hi; ho_class; ho_starts })
+    |> Array.of_list
   in
-  (* Per-destination suffix memos, shared between representative tracing
-     and pair population. Creating a memo only allocates its tables —
-     the suffix walk happens on use — so pre-creating one per group
-     destination here keeps the parallel phase read-only on [memos]
-     (each destination belongs to exactly one group, so its node table
-     is touched by one worker only). *)
-  let memos : (string, string -> memo_node) Hashtbl.t = Hashtbl.create 64 in
-  let memo_for di =
-    match Hashtbl.find_opt memos di.hi_name with
-    | Some m -> m
-    | None ->
-        let m = dest_memo lk di ~cap:max_paths in
-        Hashtbl.add memos di.hi_name m;
-        m
+  let reps = Array.of_list (List.rev !reps) in
+  let roots =
+    Array.fold_left
+      (fun acc h -> List.rev_append (List.map fst h.ho_starts) acc)
+      [] hosts
+    |> List.sort_uniq Int.compare
   in
-  if memo_ok then
-    List.iter (fun group ->
-        match group with
-        | (_, _, di) :: _ ->
-            let (_ : string -> memo_node) = memo_for di in
-            ()
-        | [] -> ())
-      groups;
-  let traced_groups =
+  let nc = Array.length reps in
+  let per_dst =
     Netcore.Pool.chunked_map
-      (fun group ->
-        let memo =
-          match group with
-          | (_, _, di) :: _ when memo_ok ->
-              Some (Hashtbl.find memos di.hi_name)
-          | _ -> None
+      (fun di ->
+        let d = hosts.(di) in
+        let tables =
+          Array.init nc (fun c ->
+              build_table ~id:((di * nc) + c) lk ~acls ~index ~names ~roots
+                ~src_addr:reps.(c) d.ho_info)
         in
-        List.map
-          (fun (key, si, di) ->
-            let t =
-              match
-                Option.bind memo (fun node ->
-                    memo_trace node ~cap:max_paths ~si)
-              with
-              | Some t -> t
-              | None -> trace_hosts ~max_paths (Lazy.from_val lk) ~si ~di
-            in
-            (key, t))
-          group)
-      groups
+        let fallbacks =
+          if not (Array.exists (fun tb -> Array.mem cyclic tb.tb_count) tables)
+          then []
+          else
+            Array.to_list hosts
+            |> List.filter_map (fun s ->
+                   let count = tables.(s.ho_class).tb_count in
+                   if
+                     s != d
+                     && (not
+                           (Netcore.Prefix.equal s.ho_info.hi_prefix
+                              d.ho_info.hi_prefix))
+                     && List.exists (fun r -> count.(r) = cyclic) (starts ~acls s d)
+                   then
+                     Some
+                       ( (s.ho_info.hi_name, d.ho_info.hi_name),
+                         trace_hosts ~max_paths (Lazy.from_val lk) ~si:s.ho_info
+                           ~di:d.ho_info )
+                   else None)
+        in
+        (tables, fallbacks))
+      (List.init (Array.length hosts) Fun.id)
   in
-  let rep_traces = Hashtbl.create 256 in
+  let traced = Hashtbl.create 16 in
   List.iter
-    (List.iter (fun (key, t) -> Hashtbl.replace rep_traces key t))
-    traced_groups;
-  (* Canonical source-major population, byte-compatible with the full
-     double loop. Each non-shortcut pair also joins its class pair's
-     member list, which therefore starts with the representative. *)
-  let n = List.length infos in
-  let dp = Hashtbl.create (n * n) in
-  let members = Hashtbl.create 64 in
-  let shortcuts = Hashtbl.create 16 in
-  List.iter
-    (fun si ->
-      List.iter
-        (fun di ->
-          if not (String.equal si.hi_name di.hi_name) then
-            let pair = (si.hi_name, di.hi_name) in
-            let t =
-              if Netcore.Prefix.equal si.hi_prefix di.hi_prefix then begin
-                Hashtbl.replace shortcuts pair ();
-                shortcut_trace si.hi_name di.hi_name
-              end
-              else
-                let key =
-                  ( Hashtbl.find class_of si.hi_name,
-                    Hashtbl.find class_of di.hi_name )
-                in
-                (match Hashtbl.find_opt members key with
-                | Some l -> l := pair :: !l
-                | None -> Hashtbl.add members key (ref [ pair ]));
-                let rsi, rdi = Hashtbl.find reps key in
-                if
-                  String.equal rsi.hi_name si.hi_name
-                  && String.equal rdi.hi_name di.hi_name
-                then Hashtbl.find rep_traces key
-                else
-                  let direct =
-                    (* Non-representative memo-eligible pairs assemble
-                       their own trace from the destination's shared
-                       suffix lists — one cons per path, no sorting —
-                       instead of renaming the representative's. Both
-                       routes produce the exact trace the full DFS
-                       would. *)
-                    if memo_ok then
-                      memo_trace (memo_for di) ~cap:max_paths ~si
-                    else None
-                  in
-                  match direct with
-                  | Some t -> t
-                  | None ->
-                      rename_trace ~src:si.hi_name ~dst:di.hi_name
-                        (Hashtbl.find rep_traces key)
-            in
-            Hashtbl.replace dp pair t)
-        infos)
-    infos;
+    (fun (_, fallbacks) ->
+      List.iter (fun (pair, t) -> Hashtbl.replace traced pair t) fallbacks)
+    per_dst;
+  let host_index = Hashtbl.create (Array.length hosts) in
+  Array.iteri (fun i h -> Hashtbl.replace host_index h.ho_info.hi_name i) hosts;
+  Netcore.Telemetry.add c_tables (Array.length hosts * nc);
+  Netcore.Telemetry.add c_fallback (Hashtbl.length traced);
   Netcore.Telemetry.incr c_extractions;
-  let class_pairs =
-    List.map
-      (fun (key, _, _) ->
-        let members = List.rev !(Hashtbl.find members key) in
-        { rep = List.hd members; members })
-      rep_list
-  in
-  { pairs = dp; host_class = class_of; class_pairs; shortcuts }
-
-(* Singleton classes: every host its own class, every pair its own class
-   pair and representative. *)
-let of_pairs pairs =
-  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) pairs []) in
-  let host_class = Hashtbl.create 64 in
-  let add h =
-    if not (Hashtbl.mem host_class h) then
-      Hashtbl.add host_class h (Hashtbl.length host_class)
-  in
-  List.iter (fun (s, d) -> add s; add d) keys;
   {
-    pairs;
-    host_class;
-    class_pairs = List.map (fun k -> { rep = k; members = [ k ] }) keys;
-    shortcuts = Hashtbl.create 1;
+    max_paths;
+    lk;
+    names;
+    hosts;
+    host_index;
+    tables = Array.of_list (List.map fst per_dst);
+    acls;
+    traced;
+    host_names = Array.to_list (Array.map (fun h -> h.ho_info.hi_name) hosts);
+  }
+
+let of_pairs traced =
+  let host_names =
+    Hashtbl.fold (fun (s, d) _ acc -> s :: d :: acc) traced []
+    |> List.sort_uniq String.compare
+  in
+  {
+    max_paths = max_paths_default;
+    lk =
+      {
+        lk_iface = (fun _ _ -> None);
+        lk_arrival = (fun _ _ _ -> None);
+        lk_probe = (fun _ -> None);
+      };
+    names = [||];
+    hosts = [||];
+    host_index = Hashtbl.create 1;
+    tables = [||];
+    acls = false;
+    traced;
+    host_names;
   }
 
 (* The reference extraction: every ordered pair walked on its own. *)
@@ -719,44 +479,211 @@ let extract_per_pair ?(max_paths = max_paths_default) ~compiled
   Netcore.Telemetry.incr c_extractions;
   of_pairs dp
 
-let paths dp ~src ~dst =
-  match Hashtbl.find_opt dp.pairs (src, dst) with
-  | Some t -> t.delivered
-  | None -> []
+let hosts dp = dp.host_names
+
+(* ---- per-pair answers ---- *)
+
+type view =
+  | Dag of table * int list  (* the pair's table and delivering starts *)
+  | Listed of path list  (* the delivered paths, sorted *)
+
+let view dp ~src ~dst =
+  match Hashtbl.find_opt dp.traced (src, dst) with
+  | Some t -> Listed t.delivered
+  | None -> (
+      match
+        (Hashtbl.find_opt dp.host_index src, Hashtbl.find_opt dp.host_index dst)
+      with
+      | Some si, Some di when si <> di ->
+          let s = dp.hosts.(si) and d = dp.hosts.(di) in
+          if Netcore.Prefix.equal s.ho_info.hi_prefix d.ho_info.hi_prefix then
+            Listed [ [ src; dst ] ]
+          else
+            let tb = dp.tables.(di).(s.ho_class) in
+            Dag (tb, List.filter (fun r -> tb.tb_count.(r) > 0) (starts ~acls:dp.acls s d))
+      | _ -> Listed [])
+
+let trace dp ~src ~dst =
+  match Hashtbl.find_opt dp.traced (src, dst) with
+  | Some t -> t
+  | None -> (
+      match
+        (Hashtbl.find_opt dp.host_index src, Hashtbl.find_opt dp.host_index dst)
+      with
+      | Some si, Some di when si <> di ->
+          trace_hosts ~max_paths:dp.max_paths (Lazy.from_val dp.lk)
+            ~si:dp.hosts.(si).ho_info ~di:dp.hosts.(di).ho_info
+      | _ -> empty_trace)
+
+let paths dp ~src ~dst = (trace dp ~src ~dst).delivered
 
 let all_delivered dp =
-  Hashtbl.fold
-    (fun key t acc -> if t.delivered = [] then acc else (key, t.delivered) :: acc)
-    dp.pairs []
-  |> List.sort compare
+  List.concat_map
+    (fun src ->
+      List.filter_map
+        (fun dst ->
+          if String.equal src dst then None
+          else
+            match paths dp ~src ~dst with
+            | [] -> None
+            | ps -> Some ((src, dst), ps))
+        dp.host_names)
+    dp.host_names
 
-let class_key dp ~src ~dst =
-  if String.equal src dst || Hashtbl.mem dp.shortcuts (src, dst) then None
-  else
-    match (Hashtbl.find_opt dp.host_class src, Hashtbl.find_opt dp.host_class dst) with
-    | Some cs, Some cd -> Some (cs, cd)
-    | _ -> None
+let path_count dp ~src ~dst =
+  match view dp ~src ~dst with
+  | Listed ps -> List.length ps
+  | Dag (tb, starts) -> List.fold_left (fun a r -> add_sat a tb.tb_count.(r)) 0 starts
 
-(* Within one joint class pair — the same class pair of [a] and of [b] —
-   every member's path set is its own renaming of one representative's,
-   on both sides, so comparing one member decides them all. Only the
-   successes need remembering: the first failure ends the scan. *)
+(* The first [n] of [List.concat_map (fun k -> List.map (List.cons x)
+   (sub k)) ks], computing [sub] only as far as needed. *)
+let prefix_each n x sub ks =
+  let rec add n acc = function
+    | s :: tl when n > 0 -> add (n - 1) ((x :: s) :: acc) tl
+    | _ -> (n, acc)
+  in
+  let rec go n acc = function
+    | k :: ks when n > 0 ->
+        let n, acc = add n acc (sub k) in
+        go n acc ks
+    | _ -> List.rev acc
+  in
+  go n [] ks
+
+(* On a table, the first [n] suffixes below a router are its name on the
+   first [n] suffixes of its children in name order: sorted, because
+   suffixes below distinct children differ in their first router. They
+   are memoized per (destination, router, avoided router) and share
+   their tails, so a pair's paths cost one cell each. *)
+let first_paths dp n =
+  let memo = Hashtbl.create 256 in
+  let size = Array.length dp.names in
+  let rec below avoid tb i =
+    let key = ((tb.tb_id * size) + i, avoid) in
+    match Hashtbl.find_opt memo key with
+    | Some l -> l
+    | None ->
+        let r = dp.names.(i) in
+        let l =
+          match (avoid, tb.tb_next.(i)) with
+          | Some w, _ when String.equal w r -> []
+          | _, [||] -> [ [ r; tb.tb_dst ] ]
+          | _, kids -> prefix_each n r (below avoid tb) (Array.to_list kids)
+        in
+        Hashtbl.add memo key l;
+        l
+  in
+  fun ~avoid ~src ~dst ->
+    match view dp ~src ~dst with
+    | Listed ps ->
+        let keep p = match avoid with None -> true | Some w -> not (on_interior w p) in
+        let rec go n acc = function
+          | p :: tl when n > 0 ->
+              if keep p then go (n - 1) (p :: acc) tl else go n acc tl
+          | _ -> List.rev acc
+        in
+        go n [] ps
+    | Dag (tb, starts) -> prefix_each n src (below avoid tb) starts
+
+let waypoints dp =
+  let memo = Hashtbl.create 256 in
+  let n = Array.length dp.names in
+  let rec below tb i =
+    let key = (tb.tb_id * n) + i in
+    match Hashtbl.find_opt memo key with
+    | Some s -> s
+    | None ->
+        let s =
+          match tb.tb_next.(i) with
+          | [||] -> Sset.singleton dp.names.(i)
+          | kids ->
+              let common = ref (below tb kids.(0)) in
+              for k = 1 to Array.length kids - 1 do
+                common := Sset.inter !common (below tb kids.(k))
+              done;
+              Sset.add dp.names.(i) !common
+        in
+        Hashtbl.add memo key s;
+        s
+  in
+  fun ~src ~dst ->
+    match view dp ~src ~dst with
+    | Listed ps -> common_waypoints ps
+    | Dag (_, []) -> []
+    | Dag (tb, r :: rs) ->
+        Sset.elements
+          (List.fold_left (fun acc r -> Sset.inter acc (below tb r)) (below tb r) rs)
+
+let iter_hops dp f =
+  let hops = function
+    | [] -> ()
+    | _ :: rest ->
+        let rec go = function
+          | u :: (v :: _ :: _ as tl) ->
+              f u v;
+              go tl
+          | _ -> ()
+        in
+        go rest
+  in
+  Hashtbl.iter (fun _ t -> List.iter hops t.delivered) dp.traced;
+  let seen = Array.make (Array.length dp.names) (-1) in
+  Array.iter
+    (fun (d : host) ->
+      let dst = d.ho_info.hi_name in
+      Array.iter
+        (fun (s : host) ->
+          match view dp ~src:s.ho_info.hi_name ~dst with
+          | Listed _ -> ()
+          | Dag (tb, starts) ->
+              let rec go i =
+                if seen.(i) <> tb.tb_id then begin
+                  seen.(i) <- tb.tb_id;
+                  Array.iter
+                    (fun k ->
+                      f dp.names.(i) dp.names.(k);
+                      go k)
+                    tb.tb_next.(i)
+                end
+              in
+              List.iter go starts)
+        dp.hosts)
+    dp.hosts
+
+(* Two routers of the same name, one per side, have equal path sets
+   below them exactly when they deliver alike and their delivering
+   children agree by name and, recursively, below: paths below distinct
+   children differ in their second router. *)
 let equal_on ~hosts a b =
-  let agreed = Hashtbl.create 64 in
+  let memo = Hashtbl.create 256 in
+  let all_a = first_paths a max_int and all_b = first_paths b max_int in
+  let rec same ta i tb j =
+    ta.tb_count.(i) = tb.tb_count.(j)
+    &&
+    let ka = ta.tb_next.(i) and kb = tb.tb_next.(j) in
+    Array.length ka = Array.length kb
+    && (Array.length ka = 0
+       ||
+       let key = (ta.tb_id, tb.tb_id, i) in
+       match Hashtbl.find_opt memo key with
+       | Some r -> r
+       | None ->
+           let r = Array.for_all2 (fun x y -> both ta x tb y) ka kb in
+           Hashtbl.add memo key r;
+           r)
+  and both ta i tb j = String.equal a.names.(i) b.names.(j) && same ta i tb j in
   List.for_all
     (fun src ->
       List.for_all
         (fun dst ->
-          let same () =
-            List.equal (List.equal String.equal)
-              (paths a ~src ~dst) (paths b ~src ~dst)
-          in
           String.equal src dst
           ||
-          match (class_key a ~src ~dst, class_key b ~src ~dst) with
-          | Some ka, Some kb ->
-              Hashtbl.mem agreed (ka, kb)
-              || (same () && (Hashtbl.add agreed (ka, kb) (); true))
-          | _ -> same ())
+          match (view a ~src ~dst, view b ~src ~dst) with
+          | Dag (ta, sa), Dag (tb, sb) ->
+              List.equal (fun i j -> both ta i tb j) sa sb
+          | _ ->
+              List.equal (List.equal String.equal)
+                (all_a ~avoid:None ~src ~dst)
+                (all_b ~avoid:None ~src ~dst))
         hosts)
     hosts

@@ -1,15 +1,27 @@
-(** Data-plane extraction: host-to-host paths by hop-by-hop FIB walks.
+(** The data plane: forwarding DAGs per destination, host-to-host paths
+    on demand.
 
     The data plane [DP] of ConfMask §3.1 is the collection of all
-    host-to-host routing paths. We enumerate them by walking the FIBs
-    (ECMP produces a branching DAG), enforcing interface packet filters
-    (access groups) at every hop, and reporting delivered paths plus any
-    dropped (no route), filtered (ACL deny — a black hole in the Appendix
-    B sense), or looping walks.
+    host-to-host routing paths. A path is a hop-by-hop FIB walk (ECMP
+    branches it) that enforces interface packet filters (access groups)
+    at every hop; a walk is delivered, dropped (no route), filtered (ACL
+    deny — a black hole in the Appendix B sense) or looping.
 
-    Every route lookup of every walk, in {!traceroute}, {!extract} and
+    Toward one destination a router forwards alike whatever the packet's
+    path so far, so {!extract} stores, per destination host, each
+    router's delivering next-hop set and delivered-path count — O(routers
+    x hosts) entries — and the consumers below answer from those graphs:
+    counts, common waypoints, path-set equality and used links are
+    dynamic programs over them, and paths are enumerated only where a
+    consumer asks for them. Extended ACLs read the source address, so on
+    a network with packet filters there is one graph per destination and
+    class of sources every filter rule treats alike. A pair whose start
+    routers reach a FIB cycle, whose paths are the walk's simple paths
+    rather than the graph's walks, keeps the per-pair DFS trace instead.
+
+    Every route lookup, in {!traceroute}, {!extract} and
     {!extract_per_pair} alike, is {!Fib.probe_lookup} against the
-    router's FIB, probed once on its first lookup. *)
+    router's FIB, probed once per extraction. *)
 
 module Smap = Device.Smap
 
@@ -34,83 +46,87 @@ val traceroute :
   dst:string ->
   trace
 (** All forwarding paths from host [src] to host [dst], for packets with
-    the hosts' addresses. Raises [Invalid_argument] if either host is
-    unknown. Compiles the network's interface tables once per call;
-    callers tracing many pairs should use {!extract}. *)
+    the hosts' addresses, by a DFS that stops after [max_paths] delivered
+    walks. Raises [Invalid_argument] if either host is unknown. Compiles
+    the network's interface tables once per call; callers tracing many
+    pairs should use {!extract}. *)
 
-type class_pair = {
-  rep : string * string;  (** the member whose trace was walked *)
-  members : (string * string) list;
-      (** every pair of the class pair, source-major, [rep] first *)
-}
-(** One ordered pair of forwarding-equivalence classes. Every member's
-    trace is the representative's with the source renamed at the head of
-    each path and, on delivered paths, the destination renamed at the
-    tail: members share path counts, truncation and every interior
-    router sequence. *)
-
-type t = {
-  pairs : (string * string, trace) Hashtbl.t;
-      (** every ordered pair of distinct hosts, source-major insertion
-          order *)
-  host_class : (string, int) Hashtbl.t;  (** each host's class *)
-  class_pairs : class_pair list;
-      (** the ordered class pairs, in the order of their representatives;
-          every pair of [pairs] belongs to exactly one of them or to
-          [shortcuts] *)
-  shortcuts : (string * string, unit) Hashtbl.t;
-      (** same-subnet pairs, delivered directly ([ [src; dst] ]) and
-          belonging to no class pair *)
-}
-(** The data plane: the pair table plus its FEC structure. Class-level
-    consumers compute once per class pair (on [rep]'s trace) and map the
-    result onto [members]; shortcut pairs are handled one by one.
-
-    A data plane is immutable once built and may be read from several
-    domains. The lazily extracted ones a [Confmask.Workflow.report]
-    carries belong to the task that owns the report: forcing the same
-    [Lazy.t] from two domains at once raises [CamlinternalLazy.Undefined]
-    in OCaml 5. *)
+type t
+(** An extracted data plane. Immutable once built, so it may be read
+    from several domains. The lazily extracted ones a
+    [Confmask.Workflow.report] carries belong to the task that owns the
+    report: forcing the same [Lazy.t] from two domains at once raises
+    [CamlinternalLazy.Undefined] in OCaml 5. *)
 
 val extract :
   ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
-(** Traces for every ordered pair of distinct hosts, [compiled] being the
-    network's compiled core. Hosts are collapsed into forwarding
-    equivalence classes: one representative pair per ordered class pair
-    is walked and its trace renamed onto the other members (on
-    filter-free networks, per-destination suffix memos replace the
-    walks). The pair table equals {!extract_per_pair}'s, keys, traces and
-    insertion order included. Bumps the [dataplane.extractions]
-    counter. *)
+(** The forwarding tables toward every host, [compiled] being the
+    network's compiled core, built one destination per pool task. Pairs
+    whose start routers reach a FIB cycle are traced by the DFS at
+    extraction. [max_paths] caps those traces and {!trace}, never a
+    count. Bumps the [dataplane.extractions] counter, adds the tables
+    built to [dataplane.tables] and the DFS-traced pairs to
+    [dataplane.dfs_fallback]. *)
 
 val extract_per_pair :
   ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
 (** The reference extraction: every ordered pair of distinct hosts walked
-    on its own, in source-major host order, with singleton classes (see
-    {!of_pairs}). Any class-level consumer run on it is therefore its own
-    per-pair reference; the tests and the crucible oracles compare
-    {!extract} against it. Slow on large networks. Bumps the
+    by the DFS on its own, in source-major host order, held as
+    {!of_pairs}. Every consumer run on it computes from the stored path
+    lists, so it is the per-pair reference the tests and the crucible
+    oracles compare {!extract} against. Slow on large networks. Bumps the
     [dataplane.extractions] counter. *)
 
 val of_pairs : (string * string, trace) Hashtbl.t -> t
-(** A data plane over a given pair table with singleton classes: every
-    host its own class, every pair its own class pair (and
-    representative), no shortcuts. *)
+(** A data plane answering exactly the given traces: the hosts are the
+    pairs' endpoints, and a pair missing from the table has no path. *)
+
+val hosts : t -> string list
+(** Every host, sorted. *)
+
+val trace : t -> src:string -> dst:string -> trace
+(** The full trace of one pair: {!traceroute}'s DFS with the extraction's
+    [max_paths], or the stored trace. The empty trace for [src = dst] and
+    unknown hosts. *)
 
 val paths : t -> src:string -> dst:string -> path list
+(** [(trace t ~src ~dst).delivered]. *)
 
 val all_delivered : t -> ((string * string) * path list) list
-(** Pairs sorted lexicographically; only pairs with at least one path. *)
+(** {!paths} of every pair with at least one, sorted by pair. *)
 
-val class_key : t -> src:string -> dst:string -> (int * int) option
-(** The ordered class pair [(class src, class dst)] the pair belongs to;
-    [None] for shortcut pairs, [src = dst], and hosts the data plane does
-    not know. Pairs with equal keys are members of one class pair. *)
+val path_count : t -> src:string -> dst:string -> int
+(** The number of delivered paths, exact (saturating at [max_int]) for a
+    pair answered from a table. *)
 
-val equal_on :
-  hosts:string list -> t -> t -> bool
+val first_paths :
+  t -> int -> avoid:string option -> src:string -> dst:string -> path list
+(** [first_paths t n ~avoid ~src ~dst]: the first [n] delivered paths in
+    sorted order, leaving out those with router [avoid] on their
+    interior, without enumerating the others. [first_paths t n] memoizes
+    the first [n] path suffixes below each (destination, router), so
+    apply it once and query many pairs. *)
+
+val waypoints : t -> src:string -> dst:string -> string list
+(** The routers on every delivered path, sorted; [[]] for none.
+    [waypoints t] memoizes the routers common below each (destination,
+    router), so apply it once and query many pairs. *)
+
+val iter_hops : t -> (string -> string -> unit) -> unit
+(** [iter_hops t f] calls [f u v] for every hop from router [u] to router
+    [v] on a delivered path of some pair, each at least once. *)
+
+val equal_on : hosts:string list -> t -> t -> bool
 (** Whether two data planes have identical delivered path sets for every
     ordered pair of the given hosts — the route-equivalence check of
-    Definition 3.3 restricted to real hosts. Compares one pair per joint
-    class pair (the same class pair on both sides) and shortcut pairs one
-    by one. *)
+    Definition 3.3 restricted to real hosts — by comparing the delivering
+    sub-graphs below each pair's start routers. *)
+
+(** {1 Path-list references} *)
+
+val interior : path -> string list
+(** The routers of a path: all but its two end hosts. *)
+
+val common_waypoints : path list -> string list
+(** Routers on the interior of every path, sorted and deduplicated; [[]]
+    for no paths. *)

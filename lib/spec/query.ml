@@ -166,89 +166,46 @@ type outcome = {
 
 let max_evidence = 8
 
-(* The first [n] elements of [l] that satisfy [keep], in order. *)
-let take_matching ?(keep = fun _ -> true) n l =
-  let rec go n acc = function
-    | x :: tl when n > 0 ->
-        if keep x then go (n - 1) (x :: acc) tl else go n acc tl
-    | _ -> List.rev acc
-  in
-  go n [] l
+let interior = Routing.Dataplane.interior
+let common_waypoints = Routing.Dataplane.common_waypoints
 
-let cap paths = take_matching max_evidence paths
-
-(* Interior routers of [h_s; r_1; ...; r_n; h_d], in one pass. *)
-let interior = function
-  | [] -> []
-  | _ :: rest ->
-      let rec drop_last = function
-        | [] | [ _ ] -> []
-        | x :: tl -> x :: drop_last tl
-      in
-      drop_last rest
-
-(* Whether [w] is an interior hop of [path], without building the
-   interior. *)
-let on_interior w = function
-  | [] -> false
-  | _ :: rest ->
-      let rec go = function
-        | x :: (_ :: _ as tl) -> String.equal x w || go tl
-        | _ -> false
-      in
-      go rest
-
-let common_waypoints = function
-  | [] -> []
-  | first :: others ->
-      List.fold_left
-        (fun cands p ->
-          let on w = on_interior w p in
-          if List.for_all on cands then cands else List.filter on cands)
-        (interior first) others
-      |> List.sort_uniq String.compare
-
-(* A verdict depends on the pair only through its path count and the
-   routers every path crosses, and both are shared by all members of a
-   class pair (they differ only in the renamed endpoints). So an
-   evaluator computes the common waypoints once per class pair; the
-   evidence still comes from the pair's own paths. *)
+(* A verdict reads a pair's path count and common waypoints; they and
+   the evidence, the pair's first paths, are computed once per pair
+   however many policies name it. *)
 let evaluator dp =
-  let commons = Hashtbl.create 64 in
-  let common ~src ~dst paths =
-    match Routing.Dataplane.class_key dp ~src ~dst with
-    | None -> common_waypoints paths
-    | Some k -> (
-        match Hashtbl.find_opt commons k with
-        | Some c -> c
-        | None ->
-            let c = common_waypoints paths in
-            Hashtbl.add commons k c;
-            c)
+  let waypoints = Routing.Dataplane.waypoints dp in
+  let first = Routing.Dataplane.first_paths dp max_evidence in
+  let pairs = Hashtbl.create 64 in
+  let pair s d =
+    match Hashtbl.find_opt pairs (s, d) with
+    | Some x -> x
+    | None ->
+        let x =
+          ( Routing.Dataplane.path_count dp ~src:s ~dst:d,
+            first ~avoid:None ~src:s ~dst:d,
+            lazy (waypoints ~src:s ~dst:d) )
+        in
+        Hashtbl.add pairs (s, d) x;
+        x
   in
   fun p ->
     let s, d = endpoints p in
-    let paths = Routing.Dataplane.paths dp ~src:s ~dst:d in
+    let n, evidence, common = pair s d in
     match p with
-    | Reachability _ ->
-        { holds = paths <> []; witness = cap paths; counterexample = [] }
-    | Isolation _ -> { holds = paths = []; witness = []; counterexample = cap paths }
+    | Reachability _ -> { holds = n > 0; witness = evidence; counterexample = [] }
+    | Isolation _ -> { holds = n = 0; witness = []; counterexample = evidence }
     | Waypoint (_, _, w) ->
-        if paths <> [] && List.mem w (common ~src:s ~dst:d paths) then
-          { holds = true; witness = cap paths; counterexample = [] }
+        if n > 0 && List.mem w (Lazy.force common) then
+          { holds = true; witness = evidence; counterexample = [] }
         else
           {
             holds = false;
             witness = [];
-            counterexample =
-              take_matching
-                ~keep:(fun p -> not (on_interior w p))
-                max_evidence paths;
+            counterexample = first ~avoid:(Some w) ~src:s ~dst:d;
           }
-    | Loadbalance (_, _, n) ->
-        if List.compare_length_with paths n >= 0 then
-          { holds = true; witness = cap paths; counterexample = [] }
-        else { holds = false; witness = []; counterexample = cap paths }
+    | Loadbalance (_, _, k) ->
+        if n >= k then { holds = true; witness = evidence; counterexample = [] }
+        else { holds = false; witness = []; counterexample = evidence }
 
 let eval dp p = evaluator dp p
 

@@ -11,11 +11,10 @@
     witness/counterexample paths per policy.
 
     Evaluation runs on an already-extracted data plane, so simulation
-    and trace extraction are paid once per network, not per policy. A
-    verdict is computed once per class pair of the data plane (see
-    {!Routing.Dataplane.class_pair}) and shared by every policy of the
-    same kind on a member pair; only the capped evidence is read from
-    the pair's own paths. *)
+    and extraction are paid once per network, not per policy. A verdict
+    reads the pair's path count and common waypoints from the data
+    plane's forwarding tables; only the capped evidence is enumerated,
+    once per pair. *)
 
 type policy =
   | Reachability of string * string
@@ -80,10 +79,13 @@ val eval : Routing.Dataplane.t -> policy -> outcome
 (** Total: a node unknown to the data plane simply has no paths (so
     reachability fails and isolation holds). *)
 
+val interior : Routing.Dataplane.path -> string list
+(** {!Routing.Dataplane.interior}: a path's routers, without its two end
+    hosts. *)
+
 val common_waypoints : Routing.Dataplane.path list -> string list
-(** Routers on the interior of every path (the path without its two
-    end hosts), sorted and deduplicated; [[]] for no paths. Each path is
-    scanned once per router still common to the paths before it. *)
+(** {!Routing.Dataplane.common_waypoints}: routers on the interior of
+    every path, sorted and deduplicated; [[]] for no paths. *)
 
 (** {1 Differential verification} *)
 

@@ -16,31 +16,31 @@ let pair_policies (s, d) ~waypoints ~n =
   :: (List.map (fun w -> Waypoint (s, d, w)) waypoints
      @ if n >= 2 then [ Loadbalance (s, d, n) ] else [])
 
-(* The policies of every pair in [members], all of which share the path
-   count and interior routers of [paths]. *)
-let policies_of_members members paths =
-  if paths = [] then []
-  else
-    let waypoints = Query.common_waypoints paths and n = List.length paths in
-    List.concat_map (fun pair -> pair_policies pair ~waypoints ~n) members
-
 let mine_paths pairs =
-  List.concat_map (fun (pair, paths) -> policies_of_members [ pair ] paths) pairs
+  List.concat_map
+    (fun (pair, paths) ->
+      if paths = [] then []
+      else
+        pair_policies pair ~waypoints:(Query.common_waypoints paths)
+          ~n:(List.length paths))
+    pairs
   |> List.sort_uniq compare
 
-(* Once per class pair, on the representative's paths, mapped onto the
-   members; shortcut pairs one by one. *)
 let mine (dp : Routing.Dataplane.t) =
-  let paths (s, d) = Routing.Dataplane.paths dp ~src:s ~dst:d in
-  let classes =
-    List.concat_map
-      (fun (cp : Routing.Dataplane.class_pair) ->
-        policies_of_members cp.members (paths cp.rep))
-      dp.class_pairs
-  in
-  Hashtbl.fold
-    (fun pair () acc -> List.rev_append (policies_of_members [ pair ] (paths pair)) acc)
-    dp.shortcuts classes
+  let waypoints = Routing.Dataplane.waypoints dp in
+  let hosts = Routing.Dataplane.hosts dp in
+  List.concat_map
+    (fun src ->
+      List.concat_map
+        (fun dst ->
+          let n =
+            if String.equal src dst then 0
+            else Routing.Dataplane.path_count dp ~src ~dst
+          in
+          if n = 0 then []
+          else pair_policies (src, dst) ~waypoints:(waypoints ~src ~dst) ~n)
+        hosts)
+    hosts
   |> List.sort_uniq compare
 
 type diff = {

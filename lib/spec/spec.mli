@@ -21,9 +21,9 @@ val endpoints : policy -> string * string
 
 val mine : Routing.Dataplane.t -> policy list
 (** Mine the specification of a simulated data plane (sorted,
-    deduplicated). Mines once per class pair, on the representative's
-    paths, and maps the policies onto the members; equals {!mine_paths}
-    over {!Routing.Dataplane.all_delivered}. *)
+    deduplicated), from each pair's path count and common waypoints;
+    equals {!mine_paths} over {!Routing.Dataplane.all_delivered} while no
+    trace is truncated. *)
 
 val mine_paths : ((string * string) * string list list) list -> policy list
 (** Same, from explicit per-pair path sets (used for the NetHide baseline,

@@ -373,7 +373,7 @@ let test_scrub_consistency () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp.Routing.Dataplane.pairs (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && (Routing.Dataplane.trace dp ~src:s ~dst:d).Routing.Dataplane.delivered = []
           then Alcotest.failf "scrub broke %s -> %s" s d)
         hosts)
     hosts;

@@ -37,7 +37,7 @@ let assert_invariants ?(k_r = 4) name (r : Workflow.report) =
     (fun (fh, _) ->
       List.iter
         (fun src ->
-          let t = Hashtbl.find dp.Routing.Dataplane.pairs (src, fh) in
+          let t = Routing.Dataplane.trace dp ~src ~dst:fh in
           if t.Routing.Dataplane.delivered = [] then
             Alcotest.failf "%s: fake host %s unreachable from %s" name fh src)
         (Workflow.real_hosts r))
@@ -136,7 +136,7 @@ let test_fake_routers_with_pii () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp.Routing.Dataplane.pairs (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && (Routing.Dataplane.trace dp ~src:s ~dst:d).Routing.Dataplane.delivered = []
           then Alcotest.failf "%s -> %s unreachable" s d)
         hosts)
     hosts
@@ -258,7 +258,7 @@ let test_pii_addon () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp.Routing.Dataplane.pairs (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && (Routing.Dataplane.trace dp ~src:s ~dst:d).Routing.Dataplane.delivered = []
           then Alcotest.failf "pii: %s -> %s unreachable" s d)
         hosts)
     hosts;
@@ -296,7 +296,7 @@ let test_fake_routers () =
   let src = List.hd (Workflow.real_hosts r) in
   List.iter
     (fun fr ->
-      let t = Hashtbl.find dp.Routing.Dataplane.pairs (src, fr ^ "-h1") in
+      let t = Routing.Dataplane.trace dp ~src ~dst:(fr ^ "-h1") in
       check Alcotest.bool (fr ^ "-h1 reachable") true
         (t.Routing.Dataplane.delivered <> []))
     r.fake_router_names

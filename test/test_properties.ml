@@ -241,22 +241,16 @@ let prop_b7_random =
                ~orig:(Routing.Simulate.dataplane r.orig_snapshot)
                ~anon:(Routing.Simulate.dataplane r.anon_snapshot)))
 
-(* qcheck: the FEC-collapsed data-plane extraction (trace one representative
-   per ordered class pair, fan out to the whole class) must agree with the
-   full H^2 extraction trace for trace, and so must every class-level
-   consumer run on the two: the reference extraction has singleton
-   classes, so each consumer on it is its own per-pair reference. Two
-   hosts per router so that host equivalence classes are nontrivial and
-   the fan-out path actually runs. The flags add a random deny-ACL (the
-   walks then run without suffix memos), a same-subnet twin for every
-   other host (shortcut pairs), the PII add-on (whose name map renames the
-   anonymized hosts) and a path cap of 1 (truncated traces). *)
-let traces_equal (a : Dataplane.t) (b : Dataplane.t) =
-  Hashtbl.length a.pairs = Hashtbl.length b.pairs
-  && Hashtbl.fold
-       (fun k (t : Dataplane.trace) acc -> acc && Hashtbl.find_opt b.pairs k = Some t)
-       a.pairs true
-
+(* qcheck: the data plane's forwarding tables must answer like the
+   per-pair extraction, and so must every consumer run on the two: on the
+   reference every consumer computes from the stored path lists. Two
+   hosts per router so that several sources share each destination's
+   table. The flags add a random deny-ACL (one table per destination and
+   ACL class of sources), a same-subnet twin for every other host
+   (shortcut pairs), the PII add-on (whose name map renames the
+   anonymized hosts) and a path cap of 1: the capped traces must equal
+   the capped per-pair ones, while the consumers, exact on the tables,
+   are compared against the untruncated reference. *)
 let with_twins configs =
   List.concat_map
     (fun (c : Configlang.Ast.config) ->
@@ -279,8 +273,8 @@ let with_twins configs =
    pair, no early exit. *)
 let unused_links (s : Simulate.snapshot) (dp : Dataplane.t) =
   let used = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ (t : Dataplane.trace) ->
+  List.iter
+    (fun (_, paths) ->
       List.iter
         (fun p ->
           let rec go = function
@@ -290,15 +284,15 @@ let unused_links (s : Simulate.snapshot) (dp : Dataplane.t) =
             | _ -> ()
           in
           go p)
-        t.delivered)
-    dp.pairs;
+        paths)
+    (Dataplane.all_delivered dp);
   List.filter
     (fun e -> not (Hashtbl.mem used e))
     (Netcore.Graph.edges (Device.router_graph s.net))
 
-let prop_fec_extraction =
+let prop_dag_extraction =
   QCheck2.Test.make
-    ~name:"FEC-collapsed extraction equals full extraction, consumers included"
+    ~name:"forwarding tables answer like per-pair extraction, consumers included"
     ~count:16
     QCheck2.Gen.(tup4 (int_range 4 10) (int_range 0 4) (int_bound 50000) (int_bound 15))
     (fun (n, extra, seed, flags) ->
@@ -318,15 +312,22 @@ let prop_fec_extraction =
       match Confmask.Workflow.run ~params configs with
       | Error m -> QCheck2.Test.fail_reportf "pipeline failed: %s" m
       | Ok r ->
+          (* The extraction, the per-pair traces at its cap, and the
+             untruncated per-pair reference. *)
           let both (s : Simulate.snapshot) =
+            let per_pair ?max_paths () =
+              Dataplane.extract_per_pair ?max_paths ~compiled:s.compiled s.net s.fibs
+            in
+            let capped = per_pair ~max_paths () in
             ( Dataplane.extract ~max_paths ~compiled:s.compiled s.net s.fibs,
-              Dataplane.extract_per_pair ~max_paths ~compiled:s.compiled s.net s.fibs )
+              capped,
+              if max_paths = Dataplane.max_paths_default then capped else per_pair () )
           in
-          let fo, po = both r.orig_snapshot and fa, pa = both r.anon_snapshot in
-          (* Without the ACL, hosts it tells apart share classes, so
-             comparing against the clean network exercises joint classes
-             that split on one side only. *)
-          let fc, pc = both (Simulate.run_exn clean) in
+          let fo, co, po = both r.orig_snapshot and fa, ca, pa = both r.anon_snapshot in
+          (* Without the ACL, the clean network has one table per
+             destination, so comparing against it pairs single-class
+             tables with per-class ones. *)
+          let fc, _, pc = both (Simulate.run_exn clean) in
           (* Every policy kind on every host pair (shortcut pairs
              included) beside the mined specification. *)
           let grid =
@@ -351,10 +352,10 @@ let prop_fec_extraction =
           let real = Confmask.Workflow.real_hosts r in
           let all = List.map fst (Device.Smap.bindings r.anon_snapshot.net.hosts) in
           let agree what a b =
-            a = b || QCheck2.Test.fail_reportf "%s: collapsed and per-pair differ" what
+            a = b || QCheck2.Test.fail_reportf "%s: tables and per-pair differ" what
           in
-          agree "orig traces" (traces_equal fo po) true
-          && agree "anon traces" (traces_equal fa pa) true
+          agree "orig traces" (Crucible.Oracle.dataplane_divergence fo co) None
+          && agree "anon traces" (Crucible.Oracle.dataplane_divergence fa ca) None
           && agree "orig no_traffic"
                (Redteam.Links.no_traffic_links r.orig_snapshot fo)
                (unused_links r.orig_snapshot po)
@@ -366,6 +367,8 @@ let prop_fec_extraction =
                (unused_links r.anon_snapshot pa)
           && agree "orig mine" (Spec.mine fo) (Spec.mine po)
           && agree "anon mine" (Spec.mine fa) (Spec.mine pa)
+          && agree "anon mine, paths" (Spec.mine fa)
+               (Spec.mine_paths (Dataplane.all_delivered pa))
           && agree "verify entries" (verify fo fa) (verify po pa)
           && agree "verify grid" (verify ~policies:grid fo fa) (verify ~policies:grid po pa)
           && List.for_all
@@ -410,7 +413,7 @@ let prop_sharded_spf =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_b7_random; prop_fec_extraction; prop_sharded_spf ]
+    [ prop_b7_random; prop_dag_extraction; prop_sharded_spf ]
 
 let () =
   Alcotest.run "properties"

@@ -277,7 +277,7 @@ let test_no_route_dropped () =
   let h4' = host "h4" "172.20.4.10" "172.20.4.1" in
   let s = Simulate.run_exn [ r1 (); r2; r3; r4_no_adv; h1; h2; h4' ] in
   let dp = Simulate.dataplane s in
-  let t = Hashtbl.find dp.Dataplane.pairs ("h1", "h4") in
+  let t = Dataplane.trace dp ~src:"h1" ~dst:"h4" in
   check paths_t "no delivery" [] t.delivered;
   check Alcotest.bool "dropped recorded" true (t.dropped <> [])
 
@@ -826,6 +826,147 @@ let test_fib_admin_distance () =
         (Fib.nexthop_names r)
   | None -> Alcotest.fail "route missing"
 
+(* ---- the forwarding DAGs against the per-pair extraction ---- *)
+
+let ospf_net ~routers ~links ~hosts =
+  Simulate.run_exn
+    (Netgen.Emit.emit
+       (Netgen.Netspec.v ~name:"dag" ~igp:Netgen.Netspec.Ospf ~routers ~links
+          ~hosts ()))
+
+let no_divergence what dp per_pair =
+  check Alcotest.(option string) what None
+    (Crucible.Oracle.dataplane_divergence dp per_pair)
+
+let test_dag_parallel_links () =
+  (* p1 reaches p4 over two equal-cost branches, one of them through two
+     parallel p1-p2 links: p1's route lists p2 twice, by two interfaces,
+     and the per-pair walk delivers that path twice before its sort
+     merges them. *)
+  let s =
+    ospf_net ~routers:[ "p1"; "p2"; "p3"; "p4" ]
+      ~links:[ ("p1", "p2", 10); ("p1", "p2", 10); ("p2", "p4", 10);
+               ("p1", "p3", 10); ("p3", "p4", 10) ]
+      ~hosts:[ ("ha", "p1"); ("hb", "p4") ]
+  in
+  let hb = Device.Smap.find "hb" s.net.hosts in
+  (match Fib.lookup (Device.Smap.find "p1" s.fibs) hb.h_addr with
+  | Some r ->
+      check Alcotest.(list string) "p2 twice, p3 once" [ "p2"; "p2"; "p3" ]
+        (List.sort compare (List.map (fun (nh : Fib.nexthop) -> nh.nh_router) r.rt_nexthops))
+  | None -> Alcotest.fail "no route to hb");
+  let dp = Simulate.dataplane s in
+  let per_pair = Dataplane.extract_per_pair ~compiled:s.compiled s.net s.fibs in
+  no_divergence "tables vs per-pair" dp per_pair;
+  let both = [ [ "ha"; "p1"; "p2"; "p4"; "hb" ]; [ "ha"; "p1"; "p3"; "p4"; "hb" ] ] in
+  check paths_t "per-pair paths" both (Dataplane.paths per_pair ~src:"ha" ~dst:"hb");
+  check Alcotest.int "two paths" 2 (Dataplane.path_count dp ~src:"ha" ~dst:"hb");
+  let o = Spec.Query.eval dp (Spec.Query.Loadbalance ("ha", "hb", 2)) in
+  check Alcotest.bool "loadbalance 2 holds" true o.holds;
+  check paths_t "witnesses deduplicated and sorted" both o.witness;
+  check
+    Alcotest.(list string)
+    "mined as from the per-pair paths"
+    (List.map Spec.policy_to_string
+       (Spec.mine_paths (Dataplane.all_delivered per_pair)))
+    (List.map Spec.policy_to_string (Spec.mine dp))
+
+let test_dag_fib_loop () =
+  (* r2's static sends h1's traffic back to r4, whose OSPF route returns
+     it to r2: every source whose walk reaches r2 or r4 toward h1 loops,
+     and those pairs are answered by the per-pair DFS. *)
+  let nets =
+    List.map
+      (fun c ->
+        let open Configlang.Ast in
+        if c.hostname <> "r2" then c
+        else
+          {
+            c with
+            statics =
+              [
+                {
+                  st_prefix = Netcore.Prefix.of_string_exn "10.1.1.0/24";
+                  st_next_hop = Netcore.Ipv4.of_string_exn "10.0.24.4";
+                };
+              ];
+          })
+      (example_net ())
+  in
+  let s = Simulate.run_exn nets in
+  let module T = Netcore.Telemetry in
+  let was = T.enabled () in
+  T.set_enabled true;
+  let fallback = T.counter "dataplane.dfs_fallback" in
+  let before = T.value fallback in
+  let dp = Simulate.dataplane s in
+  let traced = T.value fallback - before in
+  T.set_enabled was;
+  check Alcotest.bool "pairs fell back to the DFS" true (traced >= 2);
+  let t = Dataplane.trace dp ~src:"h4" ~dst:"h1" in
+  check paths_t "no delivery" [] t.delivered;
+  check Alcotest.bool "loop recorded" true (t.looped <> []);
+  let per_pair = Dataplane.extract_per_pair ~compiled:s.compiled s.net s.fibs in
+  no_divergence "tables vs per-pair" dp per_pair;
+  let hosts = Dataplane.hosts dp in
+  check Alcotest.bool "equal to the per-pair data plane" true
+    (Dataplane.equal_on ~hosts dp per_pair && Dataplane.equal_on ~hosts per_pair dp);
+  check Alcotest.bool "loop properties as per-pair" true
+    (Confmask.Properties.mine dp = Confmask.Properties.mine per_pair)
+
+let test_dag_ecmp_ladder () =
+  (* Four diamonds in a row: 16 paths from hs to hd, past a path cap of
+     4. The cap truncates traces; counts stay exact and evidence stays
+     capped at [max_evidence]. *)
+  let stages = 4 in
+  let m i = Printf.sprintf "m%d" i and a i = Printf.sprintf "a%d" i in
+  let b i = Printf.sprintf "b%d" i in
+  let steps = List.init stages (fun i -> i + 1) in
+  let s =
+    ospf_net
+      ~routers:(m 0 :: List.concat_map (fun i -> [ a i; b i; m i ]) steps)
+      ~links:
+        (List.concat_map
+           (fun i ->
+             [ (m (i - 1), a i, 10); (m (i - 1), b i, 10); (a i, m i, 10);
+               (b i, m i, 10) ])
+           steps)
+      ~hosts:[ ("hs", m 0); ("hd", m stages) ]
+  in
+  let dp = Dataplane.extract ~max_paths:4 ~compiled:s.compiled s.net s.fibs in
+  let capped =
+    Dataplane.extract_per_pair ~max_paths:4 ~compiled:s.compiled s.net s.fibs
+  in
+  let full = Dataplane.extract_per_pair ~compiled:s.compiled s.net s.fibs in
+  no_divergence "capped traces" dp capped;
+  check Alcotest.bool "trace truncated" true
+    (Dataplane.trace dp ~src:"hs" ~dst:"hd").truncated;
+  let all = Dataplane.paths full ~src:"hs" ~dst:"hd" in
+  check Alcotest.int "reference has every path" 16 (List.length all);
+  check Alcotest.int "exact count" 16 (Dataplane.path_count dp ~src:"hs" ~dst:"hd");
+  check paths_t "enumeration is the reference's"
+    all (Dataplane.first_paths dp max_int ~avoid:None ~src:"hs" ~dst:"hd");
+  let eval p = Spec.Query.eval dp p in
+  let at16 = eval (Spec.Query.Loadbalance ("hs", "hd", 16)) in
+  check Alcotest.bool "loadbalance 16 holds" true at16.holds;
+  check paths_t "witness capped" (List.filteri (fun i _ -> i < Spec.Query.max_evidence) all)
+    at16.witness;
+  check Alcotest.bool "loadbalance 17 fails" false
+    (eval (Spec.Query.Loadbalance ("hs", "hd", 17))).holds;
+  let via = eval (Spec.Query.Waypoint ("hs", "hd", a 2)) in
+  check Alcotest.bool "a2 is no waypoint" false via.holds;
+  check paths_t "counterexamples avoid a2"
+    (List.filteri (fun i _ -> i < Spec.Query.max_evidence)
+       (List.filter (fun p -> not (List.mem (a 2) p)) all))
+    via.counterexample;
+  check Alcotest.bool "m2 is a waypoint" true
+    (eval (Spec.Query.Waypoint ("hs", "hd", m 2))).holds;
+  check
+    Alcotest.(list string)
+    "mined as from the untruncated paths"
+    (List.map Spec.policy_to_string (Spec.mine_paths (Dataplane.all_delivered full)))
+    (List.map Spec.policy_to_string (Spec.mine dp))
+
 (* ---------------- qcheck: simulator soundness on random nets ---------------- *)
 
 let gen_wan =
@@ -877,7 +1018,7 @@ let prop_all_pairs_routable =
             (fun d ->
               String.equal s d
               ||
-              let t = Hashtbl.find dp.Dataplane.pairs (s, d) in
+              let t = Dataplane.trace dp ~src:s ~dst:d in
               t.Dataplane.delivered <> [] && t.looped = [])
             hosts)
         hosts)
@@ -1449,6 +1590,10 @@ let () =
         [
           Alcotest.test_case "loop detection" `Quick test_loop_detection;
           Alcotest.test_case "path cap truncation" `Quick test_truncation;
+          Alcotest.test_case "parallel links, deduplicated witnesses" `Quick
+            test_dag_parallel_links;
+          Alcotest.test_case "FIB loop falls back to the DFS" `Quick test_dag_fib_loop;
+          Alcotest.test_case "ECMP ladder past the path cap" `Quick test_dag_ecmp_ladder;
         ] );
       ( "pool",
         [

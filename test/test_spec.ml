@@ -1,9 +1,9 @@
 (* Tests for the specification miner's edge cases and the policy query
    engine: parser round-trips (including on the miner's own printed
    form), evaluation against fabricated and simulated data planes, the
-   differential verdicts, and mode invariance — FEC-collapsed vs full
-   extraction and compiled vs legacy kernels must produce identical
-   outcomes, witness paths and all. *)
+   differential verdicts, and mode invariance — the forwarding DAGs and
+   the per-pair reference extraction must produce identical outcomes,
+   witness paths and all. *)
 
 module Q = Spec.Query
 module Dataplane = Routing.Dataplane
@@ -41,7 +41,7 @@ let mine_single_host () =
   in
   let snap = Routing.Simulate.run_exn (Netgen.Emit.emit spec) in
   let dp = Routing.Simulate.dataplane snap in
-  Alcotest.(check int) "no pairs" 0 (Hashtbl.length dp.pairs);
+  Alcotest.(check int) "no pairs" 0 (List.length (Dataplane.all_delivered dp));
   Alcotest.(check int) "no policies" 0 (List.length (Spec.mine dp))
 
 let mine_loadbalance_boundary () =
@@ -324,10 +324,10 @@ let qcheck_mined_holds =
                (Spec.policy_to_string sp))
         (Spec.mine dp))
 
-(* ---- mode invariance: FEC collapse and kernel choice ---- *)
+(* ---- mode invariance: forwarding DAGs vs per-pair extraction ---- *)
 
 (* Evaluation must be blind to how the data plane was extracted: the
-   FEC-collapsed extraction and the per-pair reference must agree on
+   forwarding DAGs and the per-pair reference must agree on
    every outcome record — holds flag, witness paths and counterexample
    paths. Exercised on the
    four smallest catalog networks, over the mined specification plus an
