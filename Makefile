@@ -89,7 +89,7 @@ serve-smoke:
 	cmp $(SERVE_SMOKE)/served.digests $(SERVE_SMOKE)/oneshot.digests
 	# Second served pass: every simulation must come from the resident
 	# caches — the daemon's spf_full counter must not move, and the disk
-	# cache must report hits.
+	# cache, which holds whole from-scratch simulations, must report hits.
 	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock \
 	  '{"op": "stats"}' | grep -o '"engine.spf_full":[0-9]*' > $(SERVE_SMOKE)/spf.before
 	./_build/default/bin/confmask_cli.exe batch --nets A,B --kr 2,6 --kh 2 \
@@ -107,23 +107,22 @@ serve-smoke:
 
 # Cache-format upgrade: a directory written by the pre-codec
 # (Marshal-envelope) disk cache must be detected by its INDEX magic and
-# wiped wholesale — never read — and the run must still succeed and
-# leave a usable new-format cache behind.
+# wiped wholesale — never read — and a one-cell batch run must still
+# succeed and leave a usable new-format cache behind.
 CACHE_UPGRADE := /tmp/confmask-cache-upgrade
 cache-upgrade-smoke:
 	rm -rf $(CACHE_UPGRADE) && mkdir -p $(CACHE_UPGRADE)/cache
 	printf 'confmask-diskcache 1\nconfmask-1/ocaml-5.1.1\n' > $(CACHE_UPGRADE)/cache/INDEX
 	printf 'stale marshal bytes' > $(CACHE_UPGRADE)/cache/00deadbeef00.v
 	printf 'half-written entry' > $(CACHE_UPGRADE)/cache/.tmp-1234-leftover.v
-	dune exec bin/confmask_cli.exe -- generate --net A --out $(CACHE_UPGRADE)/orig
-	dune exec bin/confmask_cli.exe -- anonymize --in $(CACHE_UPGRADE)/orig \
-	  --out $(CACHE_UPGRADE)/anon --cache $(CACHE_UPGRADE)/cache
+	dune exec bin/confmask_cli.exe -- batch --nets A --kr 6 --kh 2 \
+	  --out $(CACHE_UPGRADE)/run1 --cache $(CACHE_UPGRADE)/cache
 	test ! -f $(CACHE_UPGRADE)/cache/00deadbeef00.v
 	test ! -f $(CACHE_UPGRADE)/cache/.tmp-1234-leftover.v
 	grep -q 'confmask-diskcache 2' $(CACHE_UPGRADE)/cache/INDEX
 	# The wiped directory is live again: a second run hits it.
-	dune exec bin/confmask_cli.exe -- anonymize --in $(CACHE_UPGRADE)/orig \
-	  --out $(CACHE_UPGRADE)/anon2 --cache $(CACHE_UPGRADE)/cache \
+	dune exec bin/confmask_cli.exe -- batch --nets A --kr 6 --kh 2 \
+	  --out $(CACHE_UPGRADE)/run2 --cache $(CACHE_UPGRADE)/cache \
 	  --metrics-out $(CACHE_UPGRADE)/metrics.json
 	grep -Eq '"diskcache\.hit": *[1-9]' $(CACHE_UPGRADE)/metrics.json
 

@@ -120,11 +120,10 @@ let jobs_arg =
                available cores).")
 
 let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
-    jobs cache_dir trace metrics_out selfcheck =
+    jobs trace metrics_out selfcheck =
   guard @@ fun () ->
   set_jobs jobs;
   setup_telemetry ~trace ~metrics_out ~selfcheck;
-  let cache = Option.map Routing.Engine.open_cache cache_dir in
   let configs =
     Netcore.Telemetry.with_span "anonymize.read" (fun () -> read_dir in_dir)
   in
@@ -133,7 +132,7 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
       pii_key = Option.map parse_key pii_key; fake_routers }
   in
   let code =
-    match Confmask.Workflow.run ~params ?cache configs with
+    match Confmask.Workflow.run ~params configs with
     | Error m ->
         Printf.eprintf "anonymization failed: %s\n" m;
         1
@@ -216,18 +215,12 @@ let fake_routers_arg =
          ~doc:"Network-scale obfuscation: add $(docv) fake routers before \
                topology anonymization (IGP-only networks).")
 
-let cache_arg =
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR"
-         ~doc:"Persistent simulation cache directory: SPF states, DV and BGP \
-               fixpoints and whole simulations are reused across runs. \
-               Results are identical with and without it.")
-
 let anonymize_cmd =
   let info = Cmd.info "anonymize" ~doc:"Anonymize a directory of configurations" in
   Cmd.v info
     Term.(const anonymize $ in_arg $ out_arg $ format_arg $ kr_arg $ kh_arg $ noise_arg
           $ seed_arg $ pii_arg $ pii_key_arg $ fake_routers_arg $ jobs_arg
-          $ cache_arg $ trace_arg $ metrics_out_arg $ selfcheck_arg)
+          $ trace_arg $ metrics_out_arg $ selfcheck_arg)
 
 (* ---- simulate ---- *)
 
@@ -460,7 +453,7 @@ let verify orig_dir anon_dir policies_file json jobs trace metrics_out =
                     if e.e_verdict = Spec.Query.Lost then e.e_anon
                     else Option.value ~default:e.e_anon e.e_orig
                   in
-                  match (o.witness, o.counterexample) with
+                  match (Lazy.force o.witness, Lazy.force o.counterexample) with
                   | [], p :: _ | p :: _, [] -> "  e.g. " ^ String.concat " " p
                   | _ -> ""
                 in
@@ -614,7 +607,9 @@ let limit_arg =
 let batch_cache_arg =
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR"
          ~doc:"Persistent simulation cache shared by all jobs (default: \
-               $(b,OUT)/cache).")
+               $(b,OUT)/cache): each network's from-scratch simulation is \
+               stored whole and restored on a rerun. Results are identical \
+               with and without it.")
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
@@ -709,6 +704,13 @@ let tenants_arg =
                a legacy small decimal int (repeatable). Requests naming an \
                unregistered tenant are rejected.")
 
+let serve_cache_arg =
+  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR"
+         ~doc:"Persistent simulation cache directory: each network's \
+               from-scratch simulation is stored whole and restored by \
+               later requests and restarts. Results are identical with and \
+               without it.")
+
 let serve_cmd =
   let info =
     Cmd.info "serve"
@@ -719,7 +721,7 @@ let serve_cmd =
             drain-on-shutdown"
   in
   Cmd.v info
-    Term.(const serve $ listen_arg $ queue_arg $ workers_arg $ cache_arg
+    Term.(const serve $ listen_arg $ queue_arg $ workers_arg $ serve_cache_arg
           $ jobs_arg $ tenants_arg $ trace_arg)
 
 (* ---- call ---- *)

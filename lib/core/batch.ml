@@ -84,23 +84,6 @@ let dir_jobs ?(seed = 42) ?(noise = 0.1) ~dirs ~k_rs ~k_hs () =
       })
     (combos ~ids:dirs ~k_rs ~k_hs)
 
-(* ---- JSON plumbing (same dialect as Telemetry.report_json) ---- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* ---- filesystem plumbing ---- *)
 
 let rec mkdir_p dir =
@@ -143,7 +126,7 @@ let counter_delta before after =
 let ok_record ~id ~seconds ~digest ~deltas (r : Workflow.report) =
   let telemetry =
     deltas
-    |> List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v)
+    |> List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (Json.escape n) v)
     |> String.concat ", "
   in
   (* The per-cell verification record: how much of the original
@@ -162,7 +145,7 @@ let ok_record ~id ~seconds ~digest ~deltas (r : Workflow.report) =
      \"filters_removed\": %d, \"functional_equivalence\": %b, \
      \"verification\": %s, \"redteam\": %s, \"digest\": \"%s\", \
      \"telemetry\": {%s}}"
-    (json_escape id) seconds
+    (Json.escape id) seconds
     (List.length r.fake_edges)
     (List.length r.fake_hosts)
     (List.length r.fake_router_names)
@@ -176,10 +159,10 @@ let error_record ~id ~seconds ~cls ~msg =
   Printf.sprintf
     "{\"id\": \"%s\", \"status\": \"error\", \"class\": \"%s\", \
      \"error\": \"%s\", \"seconds\": %.3f}"
-    (json_escape id) cls (json_escape msg) seconds
+    (Json.escape id) cls (Json.escape msg) seconds
 
 let pending_record ~id =
-  Printf.sprintf "{\"id\": \"%s\", \"status\": \"pending\"}" (json_escape id)
+  Printf.sprintf "{\"id\": \"%s\", \"status\": \"pending\"}" (Json.escape id)
 
 (* A substring check is all record inspection needs: every record was
    written by this program, and anything unrecognizable must be treated

@@ -31,8 +31,8 @@ val fix :
     iteration count by the number of added edges). The loop simulates
     through an incremental {!Routing.Engine} — pass [engine] to reuse
     caches from an earlier stage, or [cache] to let a freshly created
-    engine read/write a persistent cross-run cache. Errors if the loop
-    cannot restore the original FIBs. *)
+    engine's from-scratch build read/write a persistent cross-run cache.
+    Errors if the loop cannot restore the original FIBs. *)
 
 val fib_equal_on_hosts :
   orig:Routing.Simulate.snapshot -> Routing.Simulate.snapshot -> bool

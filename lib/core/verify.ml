@@ -51,8 +51,9 @@ let outcome_json (o : Query.outcome) =
   Json.Obj
     [
       ("holds", Json.Bool o.holds);
-      ("witness", Json.Arr (List.map path_json o.witness));
-      ("counterexample", Json.Arr (List.map path_json o.counterexample));
+      ("witness", Json.Arr (List.map path_json (Lazy.force o.witness)));
+      ( "counterexample",
+        Json.Arr (List.map path_json (Lazy.force o.counterexample)) );
     ]
 
 let entry_json (e : Query.entry) =

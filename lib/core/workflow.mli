@@ -64,11 +64,12 @@ val run :
   Configlang.Ast.config list ->
   (report, string) result
 (** [cache] plugs a persistent cross-run simulation cache (see
-    {!Routing.Engine.open_cache}) into every simulation of the workflow:
-    the baseline runs through {!Routing.Engine.of_configs} (bit-identical
-    to [Simulate.run], but restorable from disk) and the route-equivalence
-    and route-anonymity fixpoints reuse SPF/DV/BGP entries written by
-    previous processes. Results are identical with and without it. *)
+    {!Routing.Engine.open_cache}) into the workflow's from-scratch
+    simulations: the baseline runs through {!Routing.Engine.of_configs}
+    (bit-identical to [Simulate.run], but restorable from disk), and so
+    does the route-equivalence fixpoint's first build. The fixpoints'
+    incremental edits never touch disk. Results are identical with and
+    without it. *)
 
 val run_exn :
   ?params:params ->

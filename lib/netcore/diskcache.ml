@@ -4,9 +4,6 @@ let c_hit = Telemetry.counter "diskcache.hit"
 let c_miss = Telemetry.counter "diskcache.miss"
 let c_write = Telemetry.counter "diskcache.write"
 
-let dir t = t.cache_dir
-let version t = t.eff_version
-
 (* Entry files are self-describing {!Codec} envelopes so a reader can
    reject anything it did not write itself: the version and key fields
    guard against collisions and stale formats, the digest against
@@ -96,15 +93,13 @@ let open_dir ?(version = "1") cache_dir =
       write_file_atomic ~dir:cache_dir (index_path cache_dir) want);
   t
 
-(* The one decode path: both [find] and [mem] trust an entry only if the
-   whole envelope validates — digest, version and key alike. *)
-let load t key =
-  match read_file (entry_path t key) with
-  | None -> None
-  | Some raw -> Codec.decode ~version:t.eff_version ~key raw
-
+(* An entry is trusted only if the whole envelope validates — digest,
+   version and key alike. *)
 let find t key =
-  match load t key with
+  match
+    Option.bind (read_file (entry_path t key))
+      (Codec.decode ~version:t.eff_version ~key)
+  with
   | Some payload ->
       Telemetry.incr c_hit;
       Some payload
@@ -120,5 +115,4 @@ let add t ~key payload =
   | () -> Telemetry.incr c_write
   | exception Sys_error _ -> ()
 
-let mem t key = load t key <> None
 let entries t = List.length (entry_files t.cache_dir)

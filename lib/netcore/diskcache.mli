@@ -35,10 +35,6 @@ val open_dir : ?version:string -> string -> t
     Stale [.tmp-*] files left by crashed writers are removed. Raises
     [Sys_error] when the directory cannot be created or written. *)
 
-val dir : t -> string
-val version : t -> string
-(** The version string entries are stamped with. *)
-
 val find : t -> string -> string option
 (** [find t key] is the payload stored under [key], or [None] on any
     kind of miss (absent, corrupted, truncated, wrong version, key
@@ -51,13 +47,6 @@ val add : t -> key:string -> string -> unit
     construction. Ticks [diskcache.write]. I/O errors are swallowed: a
     cache that cannot be written degrades to a smaller cache, it never
     fails the computation. *)
-
-val mem : t -> string -> bool
-(** [mem t key] is [true] iff {!find} would hit: the entry exists {e and}
-    its whole envelope validates (digest, version, key). Shares the
-    decode path with {!find} but does not tick counters. A bare
-    file-existence check would report hits for corrupt, truncated or
-    version-mismatched entries that [find] then rejects. *)
 
 val entries : t -> int
 (** Number of entry files currently present. *)

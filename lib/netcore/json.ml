@@ -182,7 +182,7 @@ let parse s =
 
 (* ---- printing ---- *)
 
-let escape b s =
+let add_escaped b s =
   String.iter
     (fun ch ->
       match ch with
@@ -196,6 +196,11 @@ let escape b s =
       | ch -> Buffer.add_char b ch)
     s
 
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  add_escaped b s;
+  Buffer.contents b
+
 let to_string v =
   let b = Buffer.create 256 in
   let rec go = function
@@ -208,7 +213,7 @@ let to_string v =
         else Buffer.add_string b (Printf.sprintf "%.17g" f)
     | Str s ->
         Buffer.add_char b '"';
-        escape b s;
+        add_escaped b s;
         Buffer.add_char b '"'
     | Arr xs ->
         Buffer.add_char b '[';
@@ -224,7 +229,7 @@ let to_string v =
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char b ',';
             Buffer.add_char b '"';
-            escape b k;
+            add_escaped b k;
             Buffer.add_string b "\":";
             go v)
           kvs;

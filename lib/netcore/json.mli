@@ -1,8 +1,8 @@
 (** Minimal zero-dependency JSON: just enough for the serve protocol.
 
-    One value type, a total recursive-descent parser, and a printer that
-    escapes the same way {!Telemetry.report_json} and the batch records
-    do. Numbers are floats (every integer the protocol carries fits a
+    One value type, a total recursive-descent parser, and a printer whose
+    string escaper ({!escape}) is also the one {!Telemetry.report_json}
+    and the batch records use. Numbers are floats (every integer the protocol carries fits a
     double exactly); object member order is preserved; duplicate keys
     keep their first occurrence under {!member}. *)
 
@@ -21,6 +21,12 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Compact single-line rendering (no added whitespace), suitable for
     the line-delimited wire protocol. *)
+
+val escape : string -> string
+(** The body of a JSON string literal (quotes not included): ['"'],
+    ['\\'], newline, carriage return and tab get their short escapes,
+    every other control byte a [\u00XX] one; all else, UTF-8 included,
+    passes through. *)
 
 (** {1 Accessors} — total, [None] on shape mismatch. *)
 

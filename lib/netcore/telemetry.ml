@@ -102,17 +102,6 @@ let pp_report ppf () =
     (fun (name, v) -> Format.fprintf ppf "  %-40s %10d@." name v)
     (counters ())
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"spans\": [\n";
@@ -122,7 +111,7 @@ let report_json () =
       Buffer.add_string b
         (Printf.sprintf
            "    {\"path\": \"%s\", \"count\": %d, \"seconds\": %.6f}%s\n"
-           (json_escape path) count seconds
+           (Json.escape path) count seconds
            (if i = List.length sp - 1 then "" else ",")))
     sp;
   Buffer.add_string b "  ],\n  \"counters\": {\n";
@@ -130,7 +119,7 @@ let report_json () =
   List.iteri
     (fun i (name, v) ->
       Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %d%s\n" (json_escape name) v
+        (Printf.sprintf "    \"%s\": %d%s\n" (Json.escape name) v
            (if i = List.length cs - 1 then "" else ",")))
     cs;
   Buffer.add_string b "  }\n}\n";

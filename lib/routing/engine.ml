@@ -26,64 +26,30 @@ let c_fib_reuse = Telemetry.counter "engine.fib_reuse"
 let c_fib_build = Telemetry.counter "engine.fib_build"
 let c_edits = Telemetry.counter "engine.edits"
 
-(* Persistent-cache hits, one counter per entry kind. Each is the disk
-   sibling of an in-memory recompute counter: state_disk vs a whole
-   from-scratch build, spf_disk vs spf_full, dv_disk vs dv_recompute,
-   bgp_disk vs bgp_compute. *)
+(* Persistent-cache hits: from-scratch builds restored whole from disk. *)
 let c_state_disk = Telemetry.counter "engine.state_disk"
-let c_spf_disk = Telemetry.counter "engine.spf_disk"
-let c_dv_disk = Telemetry.counter "engine.dv_disk"
-let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
 
 (* ---- persistent cross-run cache ----
 
-   Content-addressed entries in a [Netcore.Diskcache] directory. Keys are
-   derived from the same structural fingerprints the in-memory reuse
-   gates compare, so an entry is valid whenever the gate would have
-   fired: a key collision implies input equality, which implies output
-   equality (every computation keyed here is a deterministic function of
-   the fingerprinted inputs). Four entry kinds, distinguished by a key
-   namespace tag so their [Marshal]ed payload types can never mix:
-
-   - ["state:"] — the whole engine state (domains, base and final FIBs,
-     BGP routes) of a from-scratch build, keyed by every
-     router's full fingerprint. Only written for [prev = None] builds:
-     keying one entry per fixpoint iteration would balloon the store
-     with megabyte-scale states that in-memory reuse already covers.
-   - ["spf:"] — one IGP domain's OSPF SPF state, keyed by the domain and
-     its members' spf fingerprints. Written once per full [Ospf.prepare];
-     restored states are {!Ospf.rescope}d because the stored adjacencies
-     embed interface fields the spf fingerprint deliberately excludes.
-   - ["dv:"] — one domain's RIP/EIGRP routes, keyed by the dv
-     fingerprints.
-   - ["bgp:"] — the global BGP fixpoint result, keyed like ["state:"]
-     (full fingerprints: BGP depends on the IGP-resolved base FIBs,
-     which equal fingerprints imply).
+   One entry kind in a [Netcore.Diskcache] directory: the whole engine
+   state (domains, base and final FIBs, BGP routes) of a from-scratch
+   build, keyed by every router's full fingerprint. A key collision
+   implies input equality, which implies output equality (the build is a
+   deterministic function of the compiled routers). Builds with a [prev]
+   neither read nor write it: in-memory reuse already covers them, and
+   one megabyte-scale entry per fixpoint iteration would balloon the
+   store.
 
    Bump [cache_version] whenever any marshaled type or fingerprint
    definition changes — the versioned index then invalidates the whole
    directory. *)
 
-(* The disk store's envelope is portable ({!Netcore.Codec}), but every
-   payload the engine persists is still [Marshal]ed, so the engine —
-   not the store — must pin the compiler version until the payloads get
-   a portable codec of their own. *)
-let cache_version = "confmask-engine-3/ocaml-" ^ Sys.ocaml_version
+(* The disk store's envelope is portable ({!Netcore.Codec}), but the
+   persisted state is still [Marshal]ed, so the engine — not the store —
+   must pin the compiler version until the payload gets a portable codec
+   of its own. *)
+let cache_version = "confmask-engine-4/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
-
-let disk_get : type a. Diskcache.t option -> string -> a option =
- fun cache key ->
-  match cache with
-  | None -> None
-  | Some c -> (
-      match Diskcache.find c key with
-      | None -> None
-      | Some s -> ( try Some (Marshal.from_string s 0 : a) with _ -> None))
-
-let disk_put cache key v =
-  match cache with
-  | None -> ()
-  | Some c -> Diskcache.add c ~key (Marshal.to_string v [])
 
 let full_fp (r : Device.router) = digest r
 
@@ -127,7 +93,6 @@ type dom_cache = {
 
 type t = {
   pool : Pool.t option;
-  cache : Diskcache.t option;
   configs : Ast.config list;
   net : Device.network;
   compiled : Compiled.t;  (* reused across topology-preserving edits *)
@@ -149,13 +114,12 @@ let configs t = t.configs
 let network t = t.net
 let compiled t = t.compiled
 let fibs t = t.fibs
-let cache t = t.cache
 let pool t = t.pool
 let delta t = t.delta
 
 (* ---- per-domain computation with cache reuse ---- *)
 
-let compute_domain ?pool ?cache ~prev (net : Device.network)
+let compute_domain ?pool ~prev (net : Device.network)
     (d : Simulate.igp_domain) =
   let routers =
     List.filter_map
@@ -241,19 +205,9 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
         | None -> None
       in
       let full () =
-        let key =
-          "spf:" ^ Digest.to_hex (digest (d.dom_key, d.dom_members, spf))
-        in
-        match (disk_get cache key : Ospf.state option) with
-        | Some st ->
-            Telemetry.incr c_spf_disk;
-            let st = Ospf.rescope ~scope:d.dom_scope net st in
-            (Some st, select st (fun _ _ _ _ -> None))
-        | None ->
-            Telemetry.incr c_spf_full;
-            let st = Ospf.prepare ~scope:d.dom_scope ?pool net in
-            disk_put cache key st;
-            (Some st, select st (fun _ _ _ _ -> None))
+        Telemetry.incr c_spf_full;
+        let st = Ospf.prepare ~scope:d.dom_scope ?pool net in
+        (Some st, select st (fun _ _ _ _ -> None))
       in
       match prev with
       | Some c when String.equal c.dc_spf spf && c.dc_state <> None ->
@@ -279,30 +233,14 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
     | _ ->
         if not (has (fun r -> (r.Device.r_rip <> None) || r.r_eigrp <> None))
         then (Smap.empty, Smap.empty)
-        else
-          let key =
-            "dv:" ^ Digest.to_hex (digest (d.dom_key, d.dom_members, dv))
-          in
-          let found :
-              (Fib.route list Smap.t * Fib.route list Smap.t) option =
-            disk_get cache key
-          in
-          (match found with
-          | Some pair ->
-              Telemetry.incr c_dv_disk;
-              pair
-          | None ->
-              Telemetry.incr c_dv_recompute;
-              let pair =
-                ( (if has (fun r -> r.Device.r_rip <> None) then
-                     Rip.compute ~scope:d.dom_scope net
-                   else Smap.empty),
-                  if has (fun r -> r.Device.r_eigrp <> None) then
-                    Eigrp.compute ~scope:d.dom_scope net
-                  else Smap.empty )
-              in
-              disk_put cache key pair;
-              pair)
+        else (
+          Telemetry.incr c_dv_recompute;
+          ( (if has (fun r -> r.Device.r_rip <> None) then
+               Rip.compute ~scope:d.dom_scope net
+             else Smap.empty),
+            if has (fun r -> r.Device.r_eigrp <> None) then
+              Eigrp.compute ~scope:d.dom_scope net
+            else Smap.empty ))
   in
   {
     dc_members = d.dom_members;
@@ -348,8 +286,9 @@ type persisted_state = {
 }
 
 let state_key fps = "state:" ^ Digest.to_hex (digest (Smap.bindings fps))
-let bgp_key fps = "bgp:" ^ Digest.to_hex (digest (Smap.bindings fps))
 
+(* [cache] and [prev] are never both given: {!of_configs} builds from
+   scratch against the disk cache, {!apply_edit} from a previous state. *)
 let build ?pool ?cache ?prev configs =
   Telemetry.with_span "engine.build" @@ fun () ->
   match Device.compile configs with
@@ -364,12 +303,12 @@ let build ?pool ?cache ?prev configs =
       in
       let fps = Smap.map full_fp net.routers in
       let restored =
-        (* Whole-state restore is only sound (and only worth storing) for
-           from-scratch builds: with a [prev] the in-memory deltas are
-           cheaper than deserializing megabytes of state. *)
-        match prev with
-        | None -> (disk_get cache (state_key fps) : persisted_state option)
-        | Some _ -> None
+        (* Only {!of_configs} passes a [cache]: with a [prev] the in-memory
+           deltas are cheaper than deserializing megabytes of state. *)
+        Option.bind cache (fun c ->
+            Option.bind (Diskcache.find c (state_key fps)) (fun s ->
+                try Some (Marshal.from_string s 0 : persisted_state)
+                with _ -> None))
       in
       match restored with
       | Some ps ->
@@ -377,7 +316,6 @@ let build ?pool ?cache ?prev configs =
           Ok
             {
               pool;
-              cache;
               configs;
               net;
               compiled;
@@ -407,7 +345,7 @@ let build ?pool ?cache ?prev configs =
         Pool.parallel_map ?pool
           (fun (d : Simulate.igp_domain) ->
             ( d.dom_key,
-              compute_domain ?pool ?cache
+              compute_domain ?pool
                 ~prev:(Dmap.find_opt d.dom_key prev_doms)
                 net d ))
           (Simulate.igp_domains net)
@@ -470,25 +408,10 @@ let build ?pool ?cache ?prev configs =
             | Some p when Smap.equal String.equal fps p.fps ->
                 Telemetry.incr c_bgp_skip;
                 p.bgp
-            | _ -> (
-                (* Equal full fingerprints imply equal compiled routers,
-                   hence equal base FIBs — the same argument that makes the
-                   in-memory skip above sound makes [fps] a complete key
-                   for the persisted result. *)
-                match
-                  (disk_get cache (bgp_key fps) : Fib.route list Smap.t option)
-                with
-                | Some b ->
-                    Telemetry.incr c_bgp_disk;
-                    b
-                | None ->
-                    Telemetry.incr c_bgp_compute;
-                    let b =
-                      Telemetry.with_span "engine.bgp" (fun () ->
-                          Bgp.compute net ~igp_fibs:base)
-                    in
-                    disk_put cache (bgp_key fps) b;
-                    b)
+            | _ ->
+                Telemetry.incr c_bgp_compute;
+                Telemetry.with_span "engine.bgp" (fun () ->
+                    Bgp.compute net ~igp_fibs:base)
           in
           let fibs =
             Smap.mapi
@@ -513,16 +436,13 @@ let build ?pool ?cache ?prev configs =
           in
           (bgp, fibs)
       in
-      (match prev with
-      | None ->
-          disk_put cache (state_key fps)
-            {
-              ps_doms = doms;
-              ps_base = base;
-              ps_bgp = bgp;
-              ps_fibs = fibs;
-            }
-      | Some _ -> ());
+      Option.iter
+        (fun c ->
+          Diskcache.add c ~key:(state_key fps)
+            (Marshal.to_string
+               { ps_doms = doms; ps_base = base; ps_bgp = bgp; ps_fibs = fibs }
+               []))
+        cache;
       (* The FIB delta of this build. The final-FIB representation is
          canonical (a sorted route array), so structural equality is a
          sound change test whatever path produced the value; the physical
@@ -545,7 +465,6 @@ let build ?pool ?cache ?prev configs =
       Ok
         {
           pool;
-          cache;
           configs;
           net;
           compiled;
@@ -586,7 +505,7 @@ let selfcheck_divergence t =
 
 let apply_edit t configs =
   Telemetry.incr c_edits;
-  match build ?pool:t.pool ?cache:t.cache ~prev:t configs with
+  match build ?pool:t.pool ~prev:t configs with
   | Error _ as e -> e
   | Ok t' as ok ->
       if Atomic.get selfcheck then

@@ -28,22 +28,19 @@
     after random edit sequences.
 
     On top of the in-memory caches, an optional {e persistent} cache
-    (a {!Netcore.Diskcache.t}, see {!open_cache}) carries results across
-    processes: whole from-scratch builds, per-domain SPF states, per-domain
-    DV results and global BGP fixpoints are stored under keys derived from
-    the same structural fingerprints, so a warm rerun of an identical (or
-    partially identical) workload skips the matching recomputations
-    entirely. Disk reuse is correctness-neutral by the same argument as
-    in-memory reuse — every key covers every input of the computation it
-    stores — and is additionally guarded by the warm-equals-cold property
-    tests and the [--selfcheck] shadow path.
+    (a {!Netcore.Diskcache.t}, see {!open_cache}) carries whole
+    from-scratch builds across processes, keyed by every router's full
+    structural fingerprint, so a warm rerun of an identical network skips
+    its simulation entirely. Edits ({!apply_edit}) never touch it. Disk
+    reuse is correctness-neutral by the same argument as in-memory reuse
+    — the key covers every input of the build it stores — and is
+    additionally guarded by the warm-equals-cold property tests.
 
     Cache reuse is observable through [Netcore.Telemetry] counters
     ([engine.spf_reuse]/[engine.spf_full], [engine.sel_patch],
     [engine.dv_recompute], [engine.bgp_skip]/[engine.bgp_compute],
     [engine.fib_reuse]/[engine.fib_build], [engine.edits], and the disk
-    hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],
-    [engine.bgp_disk]) and spans
+    hits [engine.state_disk]) and spans
     ([engine.build], [engine.domains], [engine.candidates],
     [engine.base_fib], [engine.bgp]). With the self-check on (see
     {!set_selfcheck}; the CLI's [--selfcheck]), every {!apply_edit}
@@ -75,9 +72,10 @@ val of_configs :
 (** Compile and simulate from scratch.
 
     [cache] plugs in a persistent cross-process cache (see {!open_cache}):
-    matching SPF / DV / BGP / whole-state entries are restored instead of
-    recomputed, and missing ones are stored after computation. The engine
-    result is bit-identical with and without it. *)
+    a stored state of the same network is restored instead of simulated
+    (counted as [engine.state_disk]), and a missing one is stored after
+    the simulation. The engine result is bit-identical with and without
+    it. *)
 
 val of_configs_exn :
   ?pool:Netcore.Pool.t ->
@@ -87,8 +85,8 @@ val of_configs_exn :
 
 val apply_edit : t -> Configlang.Ast.config list -> (t, string) result
 (** [apply_edit t configs] re-simulates under the (full) edited config
-    list, reusing every cache the edit does not invalidate. A persistent
-    cache passed at {!of_configs} time is carried along. *)
+    list, reusing every in-memory cache the edit does not invalidate. It
+    neither reads nor writes the persistent cache. *)
 
 val apply_edit_exn : t -> Configlang.Ast.config list -> t
 
@@ -110,9 +108,6 @@ val compiled : t -> Compiled.t
     [compiled.reuse] vs [compiled.build] telemetry. *)
 
 val fibs : t -> Fib.t Smap.t
-
-val cache : t -> Netcore.Diskcache.t option
-(** The persistent cache this engine reads and writes, if any. *)
 
 val pool : t -> Netcore.Pool.t option
 (** The worker pool this engine fans out on, if one was pinned at

@@ -282,17 +282,6 @@ let prepare_update ?(scope = all) ?pool ~(prev : state) (net : Device.network) =
     let changed = removed @ List.map fst recomputed in
     Some ({ st_adjs = prev.st_adjs; st_dists = dists }, changed)
 
-(* Rebind a state's adjacencies to the current network. The distance
-   fields of a state are a function of SPF-relevant inputs only (the
-   engine's spf fingerprints), but [st_adjs] embeds whole interface
-   records — delays, ACLs, descriptions — that those fingerprints
-   deliberately exclude. A state restored from the disk cache therefore
-   recomputes its adjacencies here, so it is structurally identical to a
-   fresh [prepare] and later [prepare_update] equality checks see no
-   phantom change. *)
-let rescope ?(scope = all) (net : Device.network) (st : state) =
-  { st with st_adjs = ospf_adjs ~scope net }
-
 (* Route selection for one (router, prefix) pair against a prepared
    state: a function of the router's own filters and scoped adjacencies
    only. *)

@@ -42,15 +42,6 @@ val prepare_update :
     advertised), or [None] when the adjacencies differ and a full
     {!prepare} is needed. *)
 
-val rescope : ?scope:(string -> bool) -> Device.network -> state -> state
-(** [rescope net st] replaces [st]'s embedded adjacencies with the ones
-    of [net] (under [scope]), keeping the distance fields. Used when a
-    state is restored from the persistent cache: the distances are valid
-    whenever the SPF-relevant inputs match, but the stored adjacencies
-    embed interface fields outside that fingerprint (delays, ACLs) that
-    must be refreshed for the restored state to be structurally
-    identical to a fresh {!prepare}. *)
-
 val routes_for : state -> Device.network -> string -> Fib.route list
 (** [routes_for st net r] is router [r]'s OSPF candidate routes under
     state [st]. *)

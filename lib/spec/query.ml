@@ -160,8 +160,8 @@ let parse text =
 
 type outcome = {
   holds : bool;
-  witness : Routing.Dataplane.path list;
-  counterexample : Routing.Dataplane.path list;
+  witness : Routing.Dataplane.path list Lazy.t;
+  counterexample : Routing.Dataplane.path list Lazy.t;
 }
 
 let max_evidence = 8
@@ -171,7 +171,8 @@ let common_waypoints = Routing.Dataplane.common_waypoints
 
 (* A verdict reads a pair's path count and common waypoints; they and
    the evidence, the pair's first paths, are computed once per pair
-   however many policies name it. *)
+   however many policies name it. The evidence is only enumerated when
+   a renderer forces it: a summary reads the verdicts alone. *)
 let evaluator dp =
   let waypoints = Routing.Dataplane.waypoints dp in
   let first = Routing.Dataplane.first_paths dp max_evidence in
@@ -182,7 +183,7 @@ let evaluator dp =
     | None ->
         let x =
           ( Routing.Dataplane.path_count dp ~src:s ~dst:d,
-            first ~avoid:None ~src:s ~dst:d,
+            lazy (first ~avoid:None ~src:s ~dst:d),
             lazy (waypoints ~src:s ~dst:d) )
         in
         Hashtbl.add pairs (s, d) x;
@@ -191,21 +192,22 @@ let evaluator dp =
   fun p ->
     let s, d = endpoints p in
     let n, evidence, common = pair s d in
+    let none = Lazy.from_val [] in
     match p with
-    | Reachability _ -> { holds = n > 0; witness = evidence; counterexample = [] }
-    | Isolation _ -> { holds = n = 0; witness = []; counterexample = evidence }
+    | Reachability _ -> { holds = n > 0; witness = evidence; counterexample = none }
+    | Isolation _ -> { holds = n = 0; witness = none; counterexample = evidence }
     | Waypoint (_, _, w) ->
         if n > 0 && List.mem w (Lazy.force common) then
-          { holds = true; witness = evidence; counterexample = [] }
+          { holds = true; witness = evidence; counterexample = none }
         else
           {
             holds = false;
-            witness = [];
-            counterexample = first ~avoid:(Some w) ~src:s ~dst:d;
+            witness = none;
+            counterexample = lazy (first ~avoid:(Some w) ~src:s ~dst:d);
           }
     | Loadbalance (_, _, k) ->
-        if n >= k then { holds = true; witness = evidence; counterexample = [] }
-        else { holds = false; witness = []; counterexample = evidence }
+        if n >= k then { holds = true; witness = evidence; counterexample = none }
+        else { holds = false; witness = none; counterexample = evidence }
 
 let eval dp p = evaluator dp p
 

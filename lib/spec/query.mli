@@ -14,7 +14,7 @@
     and extraction are paid once per network, not per policy. A verdict
     reads the pair's path count and common waypoints from the data
     plane's forwarding tables; only the capped evidence is enumerated,
-    once per pair. *)
+    once per pair and only when forced. *)
 
 type policy =
   | Reachability of string * string
@@ -61,15 +61,18 @@ val parse : string -> (policy list, string) result
 
 type outcome = {
   holds : bool;
-  witness : Routing.Dataplane.path list;
+  witness : Routing.Dataplane.path list Lazy.t;
       (** paths supporting the policy when it holds (all delivered
           paths for reachability/load balance, the via-paths for
           waypoint); capped at {!max_evidence} *)
-  counterexample : Routing.Dataplane.path list;
+  counterexample : Routing.Dataplane.path list Lazy.t;
       (** paths refuting it when it does not (waypoint-missing paths,
           the delivered paths violating isolation, the insufficient
           path set for load balance); capped at {!max_evidence} *)
 }
+(** The evidence is enumerated from the data plane only when forced, so
+    a caller that reads verdicts alone never pays for it. Outcomes of
+    one pair share it: force them from one domain at a time. *)
 
 val max_evidence : int
 (** Cap on recorded witness/counterexample paths (the verdict itself is

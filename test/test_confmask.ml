@@ -614,6 +614,30 @@ let test_batch_cell_extracts_once () =
   Alcotest.(check int) "one extraction per side" 2
     (Netcore.Telemetry.value extractions - before)
 
+(* A cell's verification record reads the verdicts alone, so rendering
+   it enumerates no evidence: each outcome keeps its one evidence list
+   (the other is the constant empty one) unforced. *)
+let test_batch_record_forces_no_evidence () =
+  let r = Workflow.run_exn (Netgen.Nets.configs (Netgen.Nets.find "D")) in
+  let v = Verify.of_report r in
+  ignore (Verify.record_json v);
+  let outcomes =
+    List.concat_map
+      (fun (e : Spec.Query.entry) -> e.e_anon :: Option.to_list e.e_orig)
+      v.entries
+  in
+  let unforced =
+    List.concat_map
+      (fun (o : Spec.Query.outcome) -> [ o.witness; o.counterexample ])
+      outcomes
+    |> List.filter (fun l -> not (Lazy.is_val l))
+  in
+  Alcotest.(check bool) "net D has policies" true (outcomes <> []);
+  Alcotest.(check int) "no evidence forced" (List.length outcomes)
+    (List.length unforced);
+  Alcotest.(check bool) "the evidence exists when forced" true
+    (List.exists (fun l -> Lazy.force l <> []) unforced)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -679,6 +703,8 @@ let () =
         [
           Alcotest.test_case "cell extracts each data plane once" `Quick
             test_batch_cell_extracts_once;
+          Alcotest.test_case "record forces no verify evidence" `Quick
+            test_batch_record_forces_no_evidence;
         ] );
       ("qcheck", qsuite);
     ]

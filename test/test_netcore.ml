@@ -237,25 +237,6 @@ let test_diskcache_corrupted_index () =
   check Alcotest.(option string) "not trusted" None (Diskcache.find c2 "k1");
   check Alcotest.int "entries dropped" 0 (Diskcache.entries c2)
 
-let test_diskcache_mem_validates () =
-  let dir = temp_dir () in
-  let c = Diskcache.open_dir ~version:"t1" dir in
-  Diskcache.add c ~key:"k1" "payload";
-  check Alcotest.bool "mem sees valid entry" true (Diskcache.mem c "k1");
-  check Alcotest.bool "mem misses absent key" false (Diskcache.mem c "nope");
-  (* The regression: mem used to be a bare Sys.file_exists, so a
-     corrupted entry counted as present while find returned None. Both
-     must go through the same envelope validation. *)
-  List.iter
-    (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "corrupted bytes";
-      close_out oc)
-    (entry_files dir);
-  check Alcotest.bool "mem rejects corrupted entry" false
-    (Diskcache.mem c "k1");
-  check Alcotest.(option string) "find agrees" None (Diskcache.find c "k1")
-
 let test_diskcache_tmp_sweep () =
   let dir = temp_dir () in
   let c = Diskcache.open_dir ~version:"t1" dir in
@@ -367,6 +348,26 @@ let test_json_parse_basics () =
     (Option.bind
        (Option.bind (Json.member "a" (p {|{"a": {"b": 7}}|})) (Json.member "b"))
        Json.int)
+
+(* One escaper serves every JSON writer. The telemetry report used to
+   keep its own, which left carriage returns, tabs and other control
+   bytes raw. *)
+let test_json_escape () =
+  check Alcotest.string "short and \\u escapes" {|a\"b\\c\n\r\t\u0001\u001f/é|}
+    (Json.escape "a\"b\\c\n\r\t\x01\x1f/\xc3\xa9");
+  let name = "test.escape\r\t\x02" in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  Telemetry.incr (Telemetry.counter name);
+  let report = Telemetry.report_json () in
+  let want = {|"test.escape\r\t\u0002": |} in
+  let n = String.length want in
+  let rec found i =
+    i + n <= String.length report
+    && (String.equal (String.sub report i n) want || found (i + 1))
+  in
+  check Alcotest.bool "report escapes control bytes" true (found 0)
 
 let test_json_parse_rejects () =
   List.iter
@@ -795,8 +796,6 @@ let () =
             test_diskcache_corrupted_entry;
           Alcotest.test_case "version mismatch wipes" `Quick
             test_diskcache_version_mismatch;
-          Alcotest.test_case "mem validates like find" `Quick
-            test_diskcache_mem_validates;
           Alcotest.test_case "orphaned temp files swept" `Quick
             test_diskcache_tmp_sweep;
           Alcotest.test_case "pre-codec directory wiped" `Quick
@@ -822,6 +821,7 @@ let () =
       ( "json",
         [
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;
+          Alcotest.test_case "one escaper" `Quick test_json_escape;
           Alcotest.test_case "parse rejects malformed" `Quick
             test_json_parse_rejects;
           Alcotest.test_case "print-parse roundtrip" `Quick test_json_roundtrip;

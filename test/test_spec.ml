@@ -60,7 +60,7 @@ let mine_loadbalance_boundary () =
   let above = Q.eval two (Q.Loadbalance ("a", "b", 3)) in
   Alcotest.(check bool) "eval fails at count + 1" false above.Q.holds;
   Alcotest.(check int) "counterexample = the path set" 2
-    (List.length above.Q.counterexample);
+    (List.length (Lazy.force above.Q.counterexample));
   let one = dp_of [ ("a", "b", [ [ "a"; "r1"; "b" ] ]) ] in
   Alcotest.(check bool)
     "a single path mines no loadbalance policy" false
@@ -252,7 +252,7 @@ let evidence_capped () =
   in
   let dp = dp_of [ ("a", "b", paths) ] in
   let o = Q.eval dp (Q.Reachability ("a", "b")) in
-  Alcotest.(check int) "witness capped" Q.max_evidence (List.length o.Q.witness);
+  Alcotest.(check int) "witness capped" Q.max_evidence (List.length (Lazy.force o.Q.witness));
   (* The verdict itself still sees all 12 paths. *)
   Alcotest.(check bool)
     "loadbalance(12) holds despite the cap" true
@@ -270,12 +270,12 @@ let waypoint_counterexample () =
   Alcotest.(check (list (list string)))
     "counterexample = first paths without r1"
     ([ [ "a"; "r2"; "b" ] ] @ List.init 7 (fun i -> [ "a"; Printf.sprintf "x%02d" i; "b" ]))
-    o.Q.counterexample;
+    (Lazy.force o.Q.counterexample);
   (* An endpoint is never a waypoint. *)
   let e = Q.eval dp (Q.Waypoint ("a", "b", "b")) in
   Alcotest.(check bool) "endpoint waypoint fails" false e.Q.holds;
   Alcotest.(check int) "every path is evidence" Q.max_evidence
-    (List.length e.Q.counterexample)
+    (List.length (Lazy.force e.Q.counterexample))
 
 (* ---- qcheck properties ---- *)
 
@@ -333,8 +333,9 @@ let qcheck_mined_holds =
    four smallest catalog networks, over the mined specification plus an
    isolation probe per net (outcomes that hold and ones that do not). *)
 let outcome_eq (a : Q.outcome) (b : Q.outcome) =
-  a.Q.holds = b.Q.holds && a.Q.witness = b.Q.witness
-  && a.Q.counterexample = b.Q.counterexample
+  a.Q.holds = b.Q.holds
+  && Lazy.force a.Q.witness = Lazy.force b.Q.witness
+  && Lazy.force a.Q.counterexample = Lazy.force b.Q.counterexample
 
 let mode_invariance () =
   List.iter
